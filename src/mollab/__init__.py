@@ -22,7 +22,7 @@ The pipeline, bottom to top:
 __version__ = "0.1.0"
 
 from .quad import QuadConfig, QuadResult, integrate, tail_bound
-from .hyp2f1 import EvalConfig, HypArgs, hyp2f1, hyp2f1_deriv, hyp2f1_neg
+from .hyp2f1 import EvalConfig, HypArgs, hyp2f1_deriv, hyp2f1_neg
 from .varsol import (
     ModeParams,
     SPECIAL_THETA_R,
@@ -52,7 +52,6 @@ __all__ = [
     "tail_bound",
     "EvalConfig",
     "HypArgs",
-    "hyp2f1",
     "hyp2f1_deriv",
     "hyp2f1_neg",
     "ModeParams",

@@ -14,11 +14,21 @@ Three regimes, dispatched on z:
 
 The connection prefactors Gamma(c)Gamma(b-a)/(Gamma(b)Gamma(c-a)) and the
 a<->b mirror are assembled from log-gamma values with explicit sign
-tracking; series terms always come from the ratio recurrence so no Gamma is
-ever formed at high order.  hyp2f1_neg takes an optional scale_exp sigma
-and returns exp(sigma*t) * 2F1 with the exponential folded into each branch
-separately, which is what downstream rescaled component assembly relies on
-to avoid overflow.
+tracking; series coefficients always come from the ratio recurrence so no
+Gamma is ever formed at high order.
+
+Every series is summed to a fixed term count N.  N comes from one scalar
+pass of the stopping rule at the batch's largest-|z| point; the batch is
+then summed by Horner's scheme, and the rule is checked again at every
+point, with N growing while any point fails.  The rule: the last three
+terms are each <= rel_tol * |sum|, or below the rounding floor
+eps * sum_n |term_n| where the sum cancels to about 0.  Past max_terms the
+series raises NonConvergence.
+
+hyp2f1_neg takes an optional scale_exp sigma and returns
+exp(sigma*t) * 2F1 with the exponential folded into each branch
+separately, which is what downstream rescaled component assembly relies
+on to avoid overflow.
 """
 
 from __future__ import annotations
@@ -96,6 +106,7 @@ class EvalConfig:
 
 
 _DEFAULT = EvalConfig()
+_EPS = float(np.finfo(float).eps)
 
 
 def _is_nonpos_int(x: float, tol: float = 1e-12) -> bool:
@@ -149,28 +160,86 @@ def _gamma_ratio(num: Sequence[float], den: Sequence[float]) -> float:
 
 
 def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    """sum_n (a)_n (b)_n / ((c)_n n!) z^n via the term ratio recurrence.
+    """sum_n (a)_n (b)_n / ((c)_n n!) z^n at every point of z, in three steps.
 
-    Stops once three consecutive terms fall below rel_tol * |partial sum|
-    at every requested point (same rule for scalars and batches so batched
-    and one-at-a-time evaluation agree to rounding).
+    1. Term count: one scalar pass of the stopping rule at the point of
+       largest |z| (its signed value, so alternating series keep their
+       count) picks N and the coefficients c_0..c_N from the ratio
+       recurrence c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1)).
+    2. Sum: Horner's scheme over the N+1 coefficients at every point, two
+       in-place ufunc calls per term.  A single point is the scalar pass's
+       own point: it is summed in Python floats and needs no step 3.
+    3. Check: the rule again at every point.  While any point fails, N
+       doubles; past cfg.max_terms NonConvergence is raised.
+
+    The stopping rule: the last three terms are each <= rel_tol * |sum|, or
+    below the rounding floor eps * sum_n |term_n|.  The floor covers sums
+    that cancel to about 0 (at such a point the relative test could only
+    pass by terms underflowing).  z is not modified.
     """
     if _is_nonpos_int(c):
         raise InvalidC(f"lower parameter c={c} is a non-positive integer")
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    streak = np.zeros(z.shape, dtype=np.int64)
-    for n in range(cfg.max_terms):
-        term = term * (((a + n) * (b + n)) / ((c + n) * (n + 1.0))) * z
-        total = total + term
-        small = np.abs(term) <= cfg.rel_tol * np.abs(total)
-        streak = np.where(small, streak + 1, 0)
-        if bool(np.all(streak >= 3)):
-            return total
-    raise NonConvergence(
-        f"series(a={a}, b={b}, c={c}) not converged in {cfg.max_terms} terms "
-        f"(max |z| = {float(np.max(np.abs(z))):.3g})"
-    )
+    if z.size == 0:
+        return np.ones_like(z)
+    rel_tol, max_terms = cfg.rel_tol, cfg.max_terms
+
+    def ratio(n: int) -> float:
+        return ((a + n) * (b + n)) / ((c + n) * (n + 1.0))
+
+    def failed() -> NonConvergence:
+        return NonConvergence(
+            f"series(a={a}, b={b}, c={c}) not converged in {max_terms} terms "
+            f"(max |z| = {float(np.max(np.abs(z))):.3g})"
+        )
+
+    z_far = float(z.flat[np.argmax(np.abs(z))])
+    coef = [1.0]
+    term = total = abs_sum = 1.0
+    streak = 0
+    while streak < 3:
+        n = len(coef) - 1
+        if n == max_terms:
+            raise failed()
+        r = ratio(n)
+        coef.append(coef[n] * r)
+        term *= r * z_far
+        total += term
+        abs_sum += abs(term)
+        small = abs(term) <= max(rel_tol * abs(total), _EPS * abs_sum)
+        streak = streak + 1 if small else 0
+    if z.size == 1:
+        acc = 0.0
+        for ck in reversed(coef):
+            acc = acc * z_far + ck
+        return np.full_like(z, acc)
+
+    az = np.abs(z)
+    while True:
+        N = len(coef) - 1
+        acc = np.full_like(z, coef[N])
+        for k in range(N - 1, -1, -1):
+            acc *= z
+            acc += coef[k]
+        power = az ** (N - 2)
+        last = abs(coef[N - 2]) * power
+        for k in (N - 1, N):
+            power *= az
+            np.maximum(last, abs(coef[k]) * power, out=last)
+        bad = last > rel_tol * np.abs(acc)
+        if bad.any():
+            # rounding floor, only where the relative test failed
+            az_bad = az[bad]
+            floor = np.full_like(az_bad, abs(coef[N]))
+            for k in range(N - 1, -1, -1):
+                floor *= az_bad
+                floor += abs(coef[k])
+            bad[bad] = last[bad] > _EPS * floor
+        if not bad.any():
+            return acc
+        if N == max_terms:
+            raise failed()
+        for n in range(N, min(2 * N, max_terms)):
+            coef.append(coef[n] * ratio(n))
 
 
 def _as_array(x: ArrayLike) -> tuple[np.ndarray, bool]:

@@ -95,6 +95,7 @@ _DEFAULT_ECFG = EvalConfig()
 _DEFAULT_QCFG = QuadConfig()
 
 _W_DELTA = 0.5  # anchor spacing for cached w-integrals
+_PROFILE_BLOCK = 1024  # output points per s_profile block
 _GAUSS_X, _GAUSS_W = leggauss(12)
 
 
@@ -230,27 +231,34 @@ def _as_array(x: ArrayLike) -> Tuple[np.ndarray, bool]:
 
 
 def _core(
-    ts: np.ndarray, mode: ModeParams, ecfg: EvalConfig, scale: float
-) -> Tuple[np.ndarray, ...]:
-    """(g1, g2, g1', g2', F1p, F1m) at ts, all times e^{-scale*t}.
+    ts: np.ndarray,
+    mode: ModeParams,
+    ecfg: EvalConfig,
+    scale: float,
+    with_prime: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """(g1, g2, g1', g2') at ts, all times e^{-scale*t}; the derivatives are
+    None unless with_prime.
 
     Derivatives come from the parameter-shift contiguous relations
 
         g2' = e^{phi t} phi (2 F1p - Fp),
         g1' = e^{mu t} ((mu - 1) Fm + F1m),
 
-    which reuse the same four hypergeometric evaluations (no finite
-    differences, no extra shifted triples).
+    which cost two more hypergeometric evaluations, F1p and F1m (no finite
+    differences), so they are made only when asked for.
     """
     phi = mode.phi_c
     mu = mode.mu
     g2s = hyp2f1_neg(_A, phi, _A + phi, ts, ecfg, scale_exp=phi - scale)
-    f1ps = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts, ecfg, scale_exp=phi - scale)
     g1s = hyp2f1_neg(_A, mu, _A + mu, ts, ecfg, scale_exp=mu - scale)
+    if not with_prime:
+        return g1s, g2s, None, None
+    f1ps = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts, ecfg, scale_exp=phi - scale)
     f1ms = hyp2f1_neg(1.5, mu, _A + mu, ts, ecfg, scale_exp=mu - scale)
     g2ps = phi * (2.0 * f1ps - g2s)
     g1ps = (mu - 1.0) * g1s + f1ms
-    return g1s, g2s, g1ps, g2ps, f1ps, f1ms
+    return g1s, g2s, g1ps, g2ps
 
 
 @lru_cache(maxsize=128)
@@ -465,7 +473,7 @@ def _c1_state(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> float:
     R = mode.R
     st = _zero_state(mode, ecfg)
     ts = np.array([R])
-    g1s, g2s, _, _, _, _ = _core(ts, mode, ecfg, scale=s)
+    g1s, g2s, _, _ = _core(ts, mode, ecfg, scale=s)
     w1R, w2R = _w_many(ts, mode, qcfg, ecfg)
     fs = float(g1s[0] - st["rho"] * g2s[0])
     g0s = float(g2s[0]) / (2.0 * st["g20"])
@@ -513,7 +521,7 @@ def _s_many(
     c1 = _c1_state(mode, qcfg, ecfg)
     st = _zero_state(mode, ecfg)
     s = mode.phi_c - 1.0
-    g1s, g2s, g1ps, g2ps, _, _ = _core(ts, mode, ecfg, scale=s)
+    g1s, g2s, g1ps, g2ps = _core(ts, mode, ecfg, scale=s, with_prime=with_prime)
     fs = g1s - st["rho"] * g2s
     g0s = g2s / (2.0 * st["g20"])
     w1, w2 = _w_many(ts, mode, qcfg, ecfg, shared_k=shared_k)
@@ -565,11 +573,22 @@ def s_profile(
     cfg: Optional[QuadConfig] = None,
     eval_cfg: Optional[EvalConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized (S, S') over an array of t values."""
+    """Vectorized (S, S') over an array of t values.
+
+    Evaluated in blocks of _PROFILE_BLOCK points, so the w-kernel
+    temporaries (12 Gauss nodes per point) stay the same size however many
+    points are asked for.  Points are computed independently; a block
+    boundary only moves the series term counts, whose effect stays below
+    the series tolerance.
+    """
     qcfg = cfg or _DEFAULT_QCFG
     ecfg = eval_cfg or _DEFAULT_ECFG
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    S, Sp = _s_many(arr, mode, qcfg, ecfg, with_prime=True)
+    S = np.empty_like(arr)
+    Sp = np.empty_like(arr)
+    for lo in range(0, arr.size, _PROFILE_BLOCK):
+        block = slice(lo, lo + _PROFILE_BLOCK)
+        S[block], Sp[block] = _s_many(arr[block], mode, qcfg, ecfg, with_prime=True)
     return S, Sp
 
 
@@ -684,7 +703,7 @@ def component_exp_integrals(
 
     def piece(which: str):
         def f(ts: np.ndarray) -> np.ndarray:
-            g1, g2, _, _, _, _ = _core(ts, mode, ecfg, scale=0.0)
+            g1, g2, _, _ = _core(ts, mode, ecfg, scale=0.0)
             if which == "f":
                 val = g1 - st["rho"] * g2
             elif which == "g0":

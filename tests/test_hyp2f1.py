@@ -6,11 +6,15 @@ are exercised both individually and through the routing front end.
 """
 
 import math
+import types
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mollab
 from mollab.hyp2f1 import (
     DegenerateParameters,
     EvalConfig,
@@ -18,6 +22,7 @@ from mollab.hyp2f1 import (
     InvalidC,
     NonConvergence,
     Pole,
+    _series_sum,
     gamma_real,
     gamma_sign,
     hyp2f1,
@@ -256,3 +261,100 @@ def test_vectorized_neg_matches_scalar():
     vec = hyp2f1_neg(0.5, PHI, 0.5 + PHI, ts)
     for i, t in enumerate(ts):
         assert vec[i] == pytest.approx(float(hyp2f1_neg(0.5, PHI, 0.5 + PHI, float(t))), rel=1e-14)
+
+
+def test_package_attribute_is_the_submodule():
+    # the package re-exports no name that shadows the hyp2f1 submodule
+    assert isinstance(mollab.hyp2f1, types.ModuleType)
+    assert mollab.hyp2f1._series_sum is _series_sum
+
+
+# ------------------------------------------------ fixed-length series
+
+
+def _pipeline_triple(shape: int, phi: float) -> tuple:
+    mu = 1.0 - phi
+    return [
+        (0.5, phi, 0.5 + phi),
+        (0.5, 1.0 + phi, 0.5 + phi),
+        (0.5, mu, 0.5 + mu),
+        (1.5, mu, 0.5 + mu),
+    ][shape]
+
+
+def _half_integer_gap(phi: float) -> float:
+    return abs((phi - 0.5) - round(phi - 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi=st.floats(0.6, 3.4).filter(lambda p: _half_integer_gap(p) >= 0.05),
+    shape=st.integers(0, 3),
+    middle=st.lists(st.floats(0.0, 12.0), max_size=6),
+    t_far=st.floats(6.0, 12.0),
+)
+def test_neg_batches_against_mpmath(phi, shape, middle, t_far):
+    # one batch holds t = 0 (zeta = 1/2, the longest series) and t >= 6
+    # (zeta ~ 1e-6): the term count picked at zeta = 1/2 must serve both
+    a, b, c = _pipeline_triple(shape, phi)
+    ts = np.array([0.0, *middle, t_far])
+    got = hyp2f1_neg(a, b, c, ts)
+    for t, g in zip(ts, got):
+        want = _oracle(a, b, c, -math.exp(2.0 * t))
+        assert g == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
+def test_series_sum_exact_zero_at_half():
+    # 2F1(1/2, 1/2; -1/2; 1/2) = 0 exactly: the relative test cannot pass
+    # at that point, the rounding floor must.  hyp2f1_neg reaches this sum
+    # at t = 0 for the phi = 2 component (0.5, 2, 2.5), i.e. c = -2.
+    zeta = np.array([0.5, 0.3, 0.1])
+    got = _series_sum(0.5, 0.5, -0.5, zeta, EvalConfig())
+    assert abs(got[0]) <= 1e-15
+    for z, g in zip(zeta[1:], got[1:]):
+        assert g == pytest.approx(_oracle(0.5, 0.5, -0.5, z), rel=1e-13)
+    ts = np.array([0.0, 1.0, 7.0])
+    for t, g in zip(ts, hyp2f1_neg(0.5, 2.0, 2.5, ts)):
+        assert g == pytest.approx(_oracle(0.5, 2.0, 2.5, -math.exp(2.0 * t)), rel=1e-12)
+
+
+def test_series_sum_zero_crossing_inside_batch():
+    # 2F1(-0.9, -0.9; -0.4; zeta) changes sign near zeta = 0.4915, inside
+    # a batch whose term count is picked at zeta = 1/2; it is the mu-branch
+    # sum of the phi = 1.9 component (0.5, -0.9, -0.4).  The rounding floor
+    # accepts the crossing point within 60 terms; the relative test alone
+    # would need about twice the count picked at zeta = 1/2.
+    a, b, c = -0.9, -0.9, -0.4
+    root = float(mpmath.findroot(lambda z: mpmath.hyp2f1(a, b, c, z), 0.49))
+    zeta = np.array([0.5, root, root * (1 - 1e-9), 0.25, 1e-3])
+    got = _series_sum(a, b, c, zeta, EvalConfig(max_terms=60))
+    for z, g in zip(zeta, got):
+        assert g == pytest.approx(_oracle(a, b, c, z), rel=1e-12, abs=1e-15)
+    ts = 0.5 * np.log((1.0 - zeta) / zeta)
+    for t, g in zip(ts, hyp2f1_neg(0.5, b, c, ts)):
+        want = _oracle(0.5, b, c, -math.exp(2.0 * t))
+        assert g == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
+def test_series_sum_nonconvergence_at_max_terms():
+    cfg = EvalConfig(max_terms=8)
+    for z in (np.array([0.74]), np.array([0.74, 0.1, -0.5])):
+        with pytest.raises(NonConvergence):
+            _series_sum(0.5, 0.7, 1.2, z, cfg)
+    # the term count picked at zeta = 1/2 (32) passes there, but the check
+    # at the sum's zero needs 36 terms: growing N hits the cap
+    zeta = np.array([0.5, 0.49149294028081636])
+    _series_sum(-0.9, -0.9, -0.4, zeta[:1], EvalConfig(max_terms=33))
+    with pytest.raises(NonConvergence):
+        _series_sum(-0.9, -0.9, -0.4, zeta, EvalConfig(max_terms=33))
+
+
+def test_series_sum_leaves_input_untouched():
+    zeta = np.linspace(0.0, 0.5, 9)
+    before = zeta.copy()
+    _series_sum(0.5, PHI, 0.5 + PHI, zeta, EvalConfig())
+    assert np.array_equal(zeta, before)
+
+
+def test_neg_empty_batch():
+    assert hyp2f1_neg(0.5, PHI, 0.5 + PHI, np.array([])).shape == (0,)

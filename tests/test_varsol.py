@@ -14,6 +14,7 @@ import pytest
 from mollab.oracle import bvp_solve
 from mollab.quad import integrate
 from mollab.varsol import (
+    _PROFILE_BLOCK,
     SPECIAL_THETA_R,
     ModeParams,
     c1_constant,
@@ -257,6 +258,22 @@ def test_s_profile_matches_pointwise(mode_r5):
     for i, t in enumerate(ts):
         assert S[i] == pytest.approx(s_value(float(t), mode_r5), rel=1e-12, abs=1e-14)
         assert Sp[i] == pytest.approx(s_prime(float(t), mode_r5), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("which", ["r5", "general"])
+def test_s_profile_block_edges_match_pointwise(which, mode_r5, mode_general):
+    # 5000 points span several evaluation blocks; the points either side of
+    # each block boundary agree with the one-point routes
+    mode = {"r5": mode_r5, "general": mode_general}[which]
+    ts = np.linspace(0.0, mode.R, 5000)
+    assert ts.size > 3 * _PROFILE_BLOCK
+    S, Sp = s_profile(ts, mode)
+    edges = np.arange(_PROFILE_BLOCK, ts.size, _PROFILE_BLOCK)
+    for i in np.concatenate(([0, ts.size - 1], edges - 1, edges)):
+        t = float(ts[i])
+        assert S[i] == pytest.approx(s_value(t, mode), rel=1e-12, abs=1e-14)
+        assert Sp[i] == pytest.approx(s_prime(t, mode), rel=1e-12, abs=1e-14)
+    assert ode_residual_max(mode) <= 1e-6
 
 
 def test_s_prime_zero_two_routes(mode_r5):
