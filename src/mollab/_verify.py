@@ -196,16 +196,16 @@ def check_boundary_values(
     return _timed("boundary-values", bound, body)
 
 
-def check_named_constants(truncation: float = 60.0) -> CheckResult:
+def check_named_constants() -> CheckResult:
     """Pinned limiting constants, each normalized by its own printed
-    tolerance (so the bound is 1): the w-integral limits at the
-    truncation point, C1 at R = 40, and the t = 0 values/derivatives of
-    the component functions."""
+    tolerance (so the bound is 1): the w-integral limits at t = 60,
+    C1 at R = 40, and the t = 0 values/derivatives of the component
+    functions."""
 
     def body():
         m = _varsol.make_mode_special(0.5)
-        big = _varsol.make_mode_special(_varsol.SPECIAL_THETA_R / max(truncation, 66.0))
-        w1, w2 = _varsol.w_integrals(truncation, big)
+        big = _varsol.make_mode_special(_varsol.SPECIAL_THETA_R / 66.0)
+        w1, w2 = _varsol.w_integrals(60.0, big)
         c1_40 = _varsol.c1_constant(
             _varsol.make_mode_special(_varsol.SPECIAL_THETA_R / 40.0)
         )
@@ -354,7 +354,7 @@ def check_siegel_symmetry(bound: float = 1e-12) -> CheckResult:
     return _timed("siegel-symmetry", bound, body)
 
 
-def run_checks(level: str = "quick", truncation: float = 60.0) -> List[CheckResult]:
+def run_checks(level: str = "quick") -> List[CheckResult]:
     """The standard suite at the given level; every member is pure."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
@@ -364,7 +364,7 @@ def run_checks(level: str = "quick", truncation: float = 60.0) -> List[CheckResu
         check_wronskian_transport(),
         check_boundary_values(),
         check_ode_residual(modes),
-        check_named_constants(truncation),
+        check_named_constants(),
         check_oracle_bvp(level),
         check_oracle_minimizer(level),
         check_kappa_table(),

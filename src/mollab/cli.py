@@ -4,7 +4,8 @@ scans, and the self-verification report.
 Commands
     kappa   one proportion bound (special mode by default; --R/--beta/
             --mollifier switch to the general evaluator)
-    table   CSV of bounds over a theta list or --grid lo:hi:n
+    table   CSV of bounds over a theta list or --grid lo:hi:n; --jobs N
+            computes rows in min(N, rows, CPUs) worker processes
     solve   CSV profile (t, S, Sprime) of the optimal S on [0, R]
     verify  named invariant checks (quick | full); exit 4 on failure
     limit   CSV of the pulled-back profile value Q_R(y0) along an
@@ -18,6 +19,8 @@ Conventions
     Exit codes: 0 success, 2 usage error, 3 numeric failure,
     4 verification failure.  MOLLAB_TOL overrides the default
     quadrature tolerance; explicit --tol beats the environment.
+    Start-up loads numpy and mollab only; scipy (verify's oracle) and
+    the process pool (table --jobs) are imported on first use.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence, TextIO
@@ -121,7 +123,6 @@ class RunManifest:
     rel_tol: float
     abs_tol: float
     crossover_z: float
-    truncation: float
     params: dict
     wall_time_s: float
     timestamp: str
@@ -133,7 +134,6 @@ class RunManifest:
             ("rel_tol", _fmt(self.rel_tol)),
             ("abs_tol", _fmt(self.abs_tol)),
             ("crossover_z", _fmt(self.crossover_z)),
-            ("truncation", _fmt(self.truncation)),
             ("params", json.dumps(self.params, sort_keys=True)),
             ("wall_time_s", f"{self.wall_time_s:.3f}"),
             ("timestamp", self.timestamp),
@@ -163,7 +163,6 @@ def _make_manifest(args, command: str, params: dict, wall: float) -> RunManifest
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         crossover_z=EvalConfig().crossover_z,
-        truncation=args.truncation,
         params=params,
         wall_time_s=wall,
         timestamp=_now(),
@@ -319,6 +318,8 @@ def _row_task(task) -> tuple:
 
 
 def cmd_table(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.grid is not None and args.thetas:
         raise UsageError("give either positional thetas or --grid, not both")
     thetas = _parse_grid(args.grid) if args.grid is not None else list(args.thetas)
@@ -329,10 +330,13 @@ def cmd_table(args) -> int:
     thetas = sorted(thetas)
     tol = _tolerance(args)
     tasks = [(theta, args.mollifier, tol) for theta in thetas]
+    # The pool forks all its workers at once: no more than rows or cores.
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
 
     start = time.perf_counter()
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_row_task, tasks))
     else:
         outcomes = [_row_task(t) for t in tasks]
@@ -361,7 +365,7 @@ def cmd_table(args) -> int:
         "mollifier": args.mollifier,
         "n_rows": len(thetas),
         "n_failed": len(failures),
-        "jobs": args.jobs,
+        "jobs": jobs,
     }
     _emit(args, "table", params, header, body, wall, json_rows=json_rows)
     return EXIT_NUMERIC if failures else EXIT_OK
@@ -455,7 +459,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    results = _verify.run_checks(level=args.level, truncation=args.truncation)
+    results = _verify.run_checks(level=args.level)
     wall = time.perf_counter() - start
     all_pass = all(r.passed for r in results)
     if args.json:
@@ -520,12 +524,6 @@ def _add_common(sub) -> None:
         type=float,
         default=None,
         help="quadrature tolerance (overrides MOLLAB_TOL; default 1e-11)",
-    )
-    sub.add_argument(
-        "--truncation",
-        type=float,
-        default=60.0,
-        help="upper limit used when measuring limiting constants (default 60)",
     )
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     sub.add_argument("--out", default=None, help="write output to this file")

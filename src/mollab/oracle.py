@@ -32,6 +32,7 @@ reduction used everywhere else.
 
 This module deliberately imports nothing from the closed-form evaluator
 beyond the parameter container, so its answers are independent evidence.
+scipy is imported inside the two solvers, so ``import mollab`` skips it.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from .varsol import ModeParams
 
@@ -153,6 +153,7 @@ def bvp_solve(mode: ModeParams, n: int) -> SolutionProfile:
         raise SingularSystem(
             f"BVP assembly produced non-finite coefficients at c = {c!r}"
         )
+    from scipy.linalg import LinAlgError, solve_banded
     try:
         interior = solve_banded((1, 1), ab, rhs)
     except LinAlgError as exc:
@@ -235,6 +236,7 @@ def discrete_minimize(
     ab = np.zeros((2, n))
     ab[0, 1:] = off
     ab[1, :] = diag
+    from scipy.linalg import LinAlgError, solveh_banded
     try:
         interior = solveh_banded(ab, rhs)
     except LinAlgError as exc:

@@ -1,8 +1,11 @@
 """Command-line interface: formats, determinism, exit codes, round trips."""
 
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,53 @@ def test_table_parallel_matches_serial(capsys):
     assert _body(serial) == _body(parallel)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, want_pool, want_jobs",
+    [
+        ("100000", 8, [3], 3),  # capped by the row count
+        ("100000", 2, [2], 2),  # capped by the core count
+        ("2", None, [], 1),  # unknown core count: serial
+        ("1", 8, [], 1),
+    ],
+)
+def test_table_jobs_capped(capsys, monkeypatch, jobs, cpus, want_pool, want_jobs):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    code, out = _run(capsys, "table", "0.1", "0.2", "0.3", "--jobs", jobs, "--json")
+    assert code == EXIT_OK
+    assert _RecordingPool.sizes == want_pool
+    doc = json.loads(out)
+    assert doc["manifest"]["params"]["jobs"] == want_jobs
+    assert [row["theta"] for row in doc["rows"]] == [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_table_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert _run(capsys, "table", "0.1", "0.2", "--jobs", jobs)[0] == EXIT_USAGE
+    assert _RecordingPool.sizes == []
+
+
 def test_table_round_trip(tmp_path, capsys):
     path = tmp_path / "rows.csv"
     code, _ = _run(capsys, "table", "0.25", "0.125", "--out", str(path))
@@ -247,7 +297,29 @@ def test_usage_errors(capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+def test_truncation_option_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["kappa", "--theta", "0.25", "--truncation", "60"])
+    assert excinfo.value.code == EXIT_USAGE
+    _, out = _run(capsys, "kappa", "--theta", "0.25", "--json")
+    assert "truncation" not in json.loads(out)["manifest"]
+
+
 # ---------------------------------------------------------- entry point
+
+
+def test_import_leaves_out_scipy_and_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, mollab.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 
 def test_module_entry_point():

@@ -118,6 +118,22 @@ def test_bvp_singular_system_raises():
         bvp_solve(broken, 200)
 
 
+@pytest.mark.parametrize("solver", ["bvp", "minimizer"])
+def test_lapack_failure_becomes_singular_system(monkeypatch, mode_r5, solver):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", fail)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", fail)
+    with pytest.raises(SingularSystem, match="singular matrix"):
+        if solver == "bvp":
+            bvp_solve(mode_r5, 200)
+        else:
+            discrete_minimize(mode_r5, 200)
+
+
 # ------------------------------------------------------ discrete minimizer
 
 
