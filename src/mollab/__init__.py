@@ -2,7 +2,8 @@
 
 The pipeline, bottom to top:
 
-* ``quad``    adaptive Clenshaw-Curtis quadrature with certified tails.
+* ``quad``    adaptive Clenshaw-Curtis quadrature with certified tails
+              (cross-routes and checks; the kappa path does not use it).
 * ``hyp2f1``  real-ray Gauss hypergeometric evaluation (series, Pfaff
               map, and the negative-axis connection form).
 * ``varsol``  the fundamental pair, variation-of-parameters solution S

@@ -13,12 +13,12 @@ Commands
 
 Conventions
     CSV bodies are byte-identical across identical invocations; the
-    run manifest (tool version, tolerances, parameters, wall time,
+    run manifest (tool version, series crossover, parameters, wall time,
     timestamp) rides in '#'-prefixed comment lines so volatile fields
     never touch the body.  --json mirrors the same data as JSON.
-    Exit codes: 0 success, 2 usage error, 3 numeric failure,
-    4 verification failure.  MOLLAB_TOL overrides the default
-    quadrature tolerance; explicit --tol beats the environment.
+    Exit codes: 0 success, 2 usage error (including a nan or infinite
+    number anywhere in the input), 3 numeric failure, 4 verification
+    failure.
     Start-up loads numpy and mollab only; scipy (verify's oracle) and
     the process pool (table --jobs) are imported on first use.
 """
@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .hyp2f1 import EvalConfig
-from .quad import QuadConfig
 from . import _verify
 from . import kappa as _kappa
 from . import siegel as _siegel
@@ -120,8 +119,6 @@ class RunManifest:
 
     version: str
     command: str
-    rel_tol: float
-    abs_tol: float
     crossover_z: float
     params: dict
     wall_time_s: float
@@ -131,8 +128,6 @@ class RunManifest:
         items = [
             ("tool", f"mollab {self.version}"),
             ("command", self.command),
-            ("rel_tol", _fmt(self.rel_tol)),
-            ("abs_tol", _fmt(self.abs_tol)),
             ("crossover_z", _fmt(self.crossover_z)),
             ("params", json.dumps(self.params, sort_keys=True)),
             ("wall_time_s", f"{self.wall_time_s:.3f}"),
@@ -155,13 +150,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _make_manifest(args, command: str, params: dict, wall: float) -> RunManifest:
-    cfg = _quad_config(args)
+def _make_manifest(command: str, params: dict, wall: float) -> RunManifest:
     return RunManifest(
         version=__version__,
         command=command,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
         crossover_z=EvalConfig().crossover_z,
         params=params,
         wall_time_s=wall,
@@ -178,7 +170,7 @@ def _emit(
     wall: float,
     json_rows: Optional[list] = None,
 ) -> None:
-    manifest = _make_manifest(args, command, params, wall)
+    manifest = _make_manifest(command, params, wall)
     if args.json:
         payload = {"manifest": manifest.as_dict(), "header": header.split(",")}
         payload["rows"] = (
@@ -196,27 +188,19 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _tolerance(args) -> Optional[float]:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("MOLLAB_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise UsageError(f"MOLLAB_TOL is not a number: {env!r}") from exc
-    return None
-
-
-def _quad_config(args) -> QuadConfig:
-    tol = _tolerance(args)
-    if tol is None:
-        return QuadConfig()
-    return QuadConfig(abs_tol=tol, rel_tol=tol)
-
-
 class UsageError(Exception):
     """Bad arguments detected after argparse (exit code 2)."""
+
+
+def _finite(text: str) -> float:
+    """A finite float: argparse type, and the check for numbers in lists."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_mollifier(text: str) -> "_kappa.MollifierSpec":
@@ -245,16 +229,15 @@ def _compute_row(
     mollifier: str,
     R: Optional[float],
     beta: Optional[float],
-    cfg: QuadConfig,
 ) -> TableRow:
     spec = _parse_mollifier(mollifier)
     general = R is not None or beta is not None or spec.kind != "linear"
     if not general:
-        res = _kappa.kappa_special(theta, cfg=cfg)
+        res = _kappa.kappa_special(theta)
     else:
         r_val = R if R is not None else _kappa.equal_weight_R(theta, spec)
         b_val = beta if beta is not None else 1.0
-        res = _kappa.kappa_general(theta, r_val, b_val, spec=spec, cfg=cfg)
+        res = _kappa.kappa_general(theta, r_val, b_val, spec=spec)
     return TableRow.from_result(res, spec.tag)
 
 
@@ -264,8 +247,7 @@ def cmd_kappa(args) -> int:
     if args.R is not None and args.R <= 0.0:
         raise UsageError(f"--R must be positive, got {args.R}")
     start = time.perf_counter()
-    cfg = _quad_config(args)
-    row = _compute_row(args.theta, args.mollifier, args.R, args.beta, cfg)
+    row = _compute_row(args.theta, args.mollifier, args.R, args.beta)
     wall = time.perf_counter() - start
     params = {
         "theta": args.theta,
@@ -292,10 +274,10 @@ def _parse_grid(text: str) -> List[float]:
     if len(parts) != 3:
         raise UsageError(f"--grid wants lo:hi:n, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = _finite(parts[0]), _finite(parts[1])
         n = int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"--grid wants numbers lo:hi:n, got {text!r}") from exc
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"--grid wants finite numbers lo:hi:n, got {text!r}") from exc
     if n < 1:
         raise UsageError(f"--grid needs n >= 1, got {n}")
     if not 0.0 < lo <= hi:
@@ -304,15 +286,14 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _row_task(task) -> tuple:
-    """(theta, mollifier, tol) -> ('ok', TableRow) | ('err', message).
+    """(theta, mollifier) -> ('ok', TableRow) | ('err', message).
 
     Module-level so process pools can pickle it; exceptions are folded
     into the result so one bad row cannot kill the pool.
     """
-    theta, mollifier, tol = task
-    cfg = QuadConfig() if tol is None else QuadConfig(abs_tol=tol, rel_tol=tol)
+    theta, mollifier = task
     try:
-        return ("ok", _compute_row(theta, mollifier, None, None, cfg))
+        return ("ok", _compute_row(theta, mollifier, None, None))
     except (UsageError, *_NUMERIC_ERRORS) as exc:
         return ("err", f"{type(exc).__name__}: {exc}")
 
@@ -328,8 +309,7 @@ def cmd_table(args) -> int:
             raise UsageError(f"theta values must be positive, got {theta}")
     _parse_mollifier(args.mollifier)  # validate before spawning workers
     thetas = sorted(thetas)
-    tol = _tolerance(args)
-    tasks = [(theta, args.mollifier, tol) for theta in thetas]
+    tasks = [(theta, args.mollifier) for theta in thetas]
     # The pool forks all its workers at once: no more than rows or cores.
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
 
@@ -442,10 +422,9 @@ def cmd_solve(args) -> int:
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
     mode = _mode_for_solve(args.R, args.c, args.beta)
-    cfg = _quad_config(args)
     start = time.perf_counter()
     ts = np.linspace(0.0, mode.R, args.points)
-    s, sp = _varsol.s_profile(ts, mode, cfg=cfg)
+    s, sp = _varsol.s_profile(ts, mode)
     wall = time.perf_counter() - start
     body = [f"{_fmt(t)},{_fmt(v)},{_fmt(d)}" for t, v, d in zip(ts, s, sp)]
     params = {"R": mode.R, "c": mode.c, "beta": mode.beta, "points": args.points}
@@ -464,9 +443,7 @@ def cmd_verify(args) -> int:
     all_pass = all(r.passed for r in results)
     if args.json:
         payload = {
-            "manifest": _make_manifest(
-                args, "verify", {"level": args.level}, wall
-            ).as_dict(),
+            "manifest": _make_manifest("verify", {"level": args.level}, wall).as_dict(),
             "checks": [dataclasses.asdict(r) for r in results],
             "passed": all_pass,
         }
@@ -488,9 +465,9 @@ def cmd_verify(args) -> int:
 
 def _parse_r_list(text: str) -> List[float]:
     try:
-        values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--R-list wants comma-separated numbers: {text!r}") from exc
+        values = [_finite(p) for p in text.split(",") if p.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--R-list wants comma-separated finite numbers: {text!r}") from exc
     if not values:
         raise UsageError("--R-list is empty")
     if any(v <= 0.0 for v in values) or any(
@@ -504,9 +481,8 @@ def cmd_limit(args) -> int:
     if not 0.5 < args.y0 <= 1.0:
         raise UsageError(f"--y0 must lie in (0.5, 1], got {args.y0}")
     r_list = _parse_r_list(args.R_list)
-    cfg = _quad_config(args)
     start = time.perf_counter()
-    q_vals = _siegel.step_limit_scan(args.y0, r_list, cfg=cfg)
+    q_vals = _siegel.step_limit_scan(args.y0, r_list)
     wall = time.perf_counter() - start
     body = [f"{_fmt(r)},{_fmt(q)}" for r, q in zip(r_list, q_vals)]
     params = {"y0": args.y0, "R_list": r_list}
@@ -519,12 +495,6 @@ def cmd_limit(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="quadrature tolerance (overrides MOLLAB_TOL; default 1e-11)",
-    )
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     sub.add_argument("--out", default=None, help="write output to this file")
 
@@ -541,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("kappa", help="one proportion bound")
-    p.add_argument("--theta", type=float, required=True, help="mollifier exponent")
-    p.add_argument("--R", type=float, default=None, help="interval half-length")
-    p.add_argument("--beta", type=float, default=None, help="boundary weight")
+    p.add_argument("--theta", type=_finite, required=True, help="mollifier exponent")
+    p.add_argument("--R", type=_finite, default=None, help="interval half-length")
+    p.add_argument("--beta", type=_finite, default=None, help="boundary weight")
     p.add_argument(
         "--mollifier", default="linear", help="'linear' or 'sinh:<r>' moments"
     )
@@ -551,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kappa)
 
     p = subs.add_parser("table", help="CSV of bounds over many theta")
-    p.add_argument("thetas", nargs="*", type=float, help="theta values")
+    p.add_argument("thetas", nargs="*", type=_finite, help="theta values")
     p.add_argument("--grid", default=None, help="lo:hi:n linear theta grid")
     p.add_argument(
         "--mollifier", default="linear", help="'linear' or 'sinh:<r>' moments"
@@ -561,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("solve", help="CSV profile of S on [0, R]")
-    p.add_argument("--R", type=float, required=True, help="interval half-length")
-    p.add_argument("--c", type=float, default=-1.0, help="ODE coefficient (< 1/4)")
-    p.add_argument("--beta", type=float, default=1.0, help="boundary weight")
+    p.add_argument("--R", type=_finite, required=True, help="interval half-length")
+    p.add_argument("--c", type=_finite, default=-1.0, help="ODE coefficient (< 1/4)")
+    p.add_argument("--beta", type=_finite, default=1.0, help="boundary weight")
     p.add_argument("--points", type=int, default=2001, help="sample count")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
@@ -576,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("limit", help="step-function limit scan Q_R(y0)")
-    p.add_argument("--y0", type=float, default=0.75, help="evaluation point (1/2, 1]")
+    p.add_argument("--y0", type=_finite, default=0.75, help="evaluation point (1/2, 1]")
     p.add_argument(
         "--R-list",
         dest="R_list",

@@ -27,8 +27,19 @@ logarithm (e^{2R} when beta != 1, e^R otherwise), so kappa stays accurate
 far beyond the point where c itself overflows; the reported c saturates
 to inf once log c > 709 while kappa remains exact.
 
+int_0^R e^{-t} S dt comes from ``varsol.exp_weighted_integral``, a closed
+form in the cached w-anchors, so neither mode runs adaptive quadrature.
+In the general mode that integral carries the rounding of the
+variation-of-parameters assembly, which grows like e^{(phi_c - 2) t} (twice
+that exponent once phi_c > 2), and near phi_c = k + 1/2 the components
+themselves lose digits to the connection formula's Gamma poles.  When that
+noise, carried through the log map, could move kappa by more than 1e-9,
+``kappa_general`` raises IllConditioned instead of returning digits it
+cannot vouch for.
+
 Two independent cross-routes guard the algebra: ``c_pqr_quadrature``
-integrates the defining w-functional directly on the unit interval, and
+integrates the defining w-functional directly on the unit interval by
+adaptive quadrature, and
 ``k_functional_direct`` evaluates K on a discrete profile (the piecewise
 linear form when no derivative samples are given -- exactly the objective
 the discrete minimizer optimizes -- or node trapezoid with Richardson
@@ -54,11 +65,14 @@ from .varsol import (
     make_mode_special,
     s_prime,
     s_prime_zero,
+    _connection_noise,
+    _weighted_noise_floor,
 )
 
 __all__ = [
     "InvalidR",
     "NonPositiveArgument",
+    "IllConditioned",
     "GridTooCoarse",
     "MollifierSpec",
     "KappaResult",
@@ -75,6 +89,7 @@ __all__ = [
 _SQRT15 = math.sqrt(15.0)
 _EXP_MAX = 700.0  # log of the largest comfortably representable double
 _LOG_HUGE = 709.0  # beyond this, exp() overflows; saturate reported c to inf
+_KAPPA_NOISE_MAX = 1e-9  # largest kappa shift that rounding may cause
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -89,6 +104,11 @@ class InvalidR(ValueError):
 
 class NonPositiveArgument(ArithmeticError):
     """The logarithm argument of the kappa map is <= 0 (never clamped)."""
+
+
+class IllConditioned(ArithmeticError):
+    """Rounding in the general-mode assembly could move kappa by more than
+    1e-9: large phi_c, phi_c > 2 with large R, or phi_c near k + 1/2."""
 
 
 class GridTooCoarse(RuntimeError):
@@ -287,7 +307,9 @@ def kappa_general(
     by exponential scale (D0 + e^R D1 + e^{2R} D2) and the dominant factor
     is taken out of the logarithm when e^{2R} would overflow, so the bound
     is computed accurately for R well beyond 350.  A non-positive argument
-    raises NonPositiveArgument rather than being clamped.
+    raises NonPositiveArgument rather than being clamped; an argument whose
+    rounding could move kappa by more than 1e-9 raises IllConditioned
+    first.
     """
     spec = spec or MollifierSpec.linear()
     B, C = mollifier_moments(spec)
@@ -310,24 +332,30 @@ def kappa_general(
     D2 = bm1 * bm1 * (0.5 + c1 / (4.0 * R)) + cross
     D0 = 0.5 - c1 / (4.0 * R) + cross
 
+    # the argument as e^{m R} G, with the dominant exponential factored out
     if 2.0 * R < _EXP_MAX:
-        arg = D0 + math.exp(R) * D1 + math.exp(2.0 * R) * D2
-        if not arg > 0.0:
-            raise NonPositiveArgument(f"kappa log argument {arg} <= 0")
-        log_arg = math.log(arg)
-        c_pqr = arg
+        m, G = 0, D0 + math.exp(R) * D1 + math.exp(2.0 * R) * D2
     elif bm1 == 0.0:
-        G = D1 + math.exp(-R) * D0
-        if not G > 0.0:
-            raise NonPositiveArgument(f"kappa log argument e^R * {G} <= 0")
-        log_arg = R + math.log(G)
-        c_pqr = _exp_or_inf(log_arg)
+        m, G = 1, D1 + math.exp(-R) * D0
     else:
-        G = D2 + math.exp(-R) * D1 + math.exp(-2.0 * R) * D0
-        if not G > 0.0:
-            raise NonPositiveArgument(f"kappa log argument e^{{2R}} * {G} <= 0")
-        log_arg = 2.0 * R + math.log(G)
-        c_pqr = _exp_or_inf(log_arg)
+        m, G = 2, D2 + math.exp(-R) * D1 + math.exp(-2.0 * R) * D0
+    # the tail's rounding enters D1 as c0 beta dT / 2R, and kappa as
+    # e^{(1 - m) R} times that over G R
+    d_tail = 4.0 * _weighted_noise_floor(mode)
+    d_log = math.exp((1 - m) * R) * abs(c0 * beta) * d_tail / (2.0 * R)
+    d_kappa = d_log / (abs(G) * R) if G != 0.0 else math.inf
+    # near phi_c = k + 1/2 the components themselves lose digits
+    d_kappa += _connection_noise(mode)
+    if not d_kappa <= _KAPPA_NOISE_MAX:
+        raise IllConditioned(
+            f"rounding could move kappa by {d_kappa:.1e} at theta={theta}, "
+            f"R={R}, beta={beta} (phi_c={mode.phi_c:.4g})"
+        )
+    if not G > 0.0:
+        scale = ("", "e^R * ", "e^{2R} * ")[m]
+        raise NonPositiveArgument(f"kappa log argument {scale}{G} <= 0")
+    log_arg = m * R + math.log(G)
+    c_pqr = G if m == 0 else _exp_or_inf(log_arg)
 
     return KappaResult(
         theta=theta,

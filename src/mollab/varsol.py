@@ -36,11 +36,20 @@ rounding.  Finite-difference consumers (the ODE-residual check) evaluate
 whole stencils with a shared anchor so that even the rounding is correlated
 and cancels in second differences.
 
+The Abel transport also cancels the (1 + e^{2u}) factor of the kernels:
+v1 = e^{-u} g2 / (2 W(0)) and v2 = -e^{-u} g1 / (2 W(0)).  So e^{-t} times
+each homogeneous piece of S is a kernel, and int_0^R e^{-t} S dt, the
+integral kappa needs, is a closed form in w1(R), w2(R) and one more
+anchored integral, int_0^R v1 w2 du (see exp_weighted_integral).  No
+adaptive quadrature runs on that path; ``component_exp_integrals`` keeps it
+as the independent cross-route.
+
 Accuracy note: S(t) pointwise is a difference of terms of size
 ~e^{(phi_c-1)t}, so its absolute rounding floor grows like
 eps * e^{(phi_c-1)t} (about 1e-9 near t = 22, 1e-6 near t = 34 in the
 c = -1 mode).  Exponentially weighted integrals of S keep full precision at
-any R because the weight kills exactly that growth.
+any R when phi_c < 2, because the weight kills exactly that growth; above
+2 their floor grows like e^{2 (phi_c - 2) R} (``_weighted_noise_floor``).
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .hyp2f1 import (
     DegenerateParameters,
@@ -97,6 +106,25 @@ _DEFAULT_QCFG = QuadConfig()
 _W_DELTA = 0.5  # anchor spacing for cached w-integrals
 _PROFILE_BLOCK = 1024  # output points per s_profile block
 _GAUSS_X, _GAUSS_W = leggauss(12)
+
+
+def _gauss_integration_matrix() -> np.ndarray:
+    """M[i, j] = int_{-1}^{x_i} l_j(x) dx for the Lagrange basis l_j on the
+    Gauss nodes x_j, so M @ f gives the running integral of the degree-11
+    interpolant of f at every node (spectral integration)."""
+    n = _GAUSS_X.size
+    m = np.arange(1, n)
+    P = legvander(_GAUSS_X, n)  # P_0 .. P_n at the nodes
+    # l_j = sum_m (m + 1/2) w_j P_m(x_j) P_m, exact by Gauss orthogonality
+    coef = (P[:, :n] * _GAUSS_W[:, None]).T * (np.arange(n) + 0.5)[:, None]
+    # int_{-1}^x P_m = (P_{m+1} - P_{m-1}) / (2m + 1) for m >= 1
+    running = np.empty((n, n))
+    running[:, 0] = _GAUSS_X + 1.0
+    running[:, 1:] = (P[:, m + 1] - P[:, m - 1]) / (2 * m + 1)
+    return running @ coef
+
+
+_GAUSS_INT = _gauss_integration_matrix()
 
 
 class BoundaryDegeneracy(ArithmeticError):
@@ -375,6 +403,7 @@ class _WCache:
     n_cells: int
     cum1: tuple
     cum2: tuple
+    cumj: tuple  # int_0^{k delta} v1 w2 du
 
 
 @lru_cache(maxsize=64)
@@ -387,6 +416,10 @@ def _w_cache(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> _WCache:
     working precision).  Each cell is one 12-point Gauss rule -- far below
     rounding error for these analytic kernels -- evaluated in a single
     batched call at build time.
+
+    The same node values give the anchors of int_0^{k delta} v1 w2 du: w2
+    at a node is its cell's anchor plus the running in-cell integral
+    _GAUSS_INT @ v2.
     """
     rate = 2.0 - mode.phi_c
     u_need = max(mode.R, 66.0)
@@ -405,7 +438,13 @@ def _w_cache(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> _WCache:
     cell2 = half * (v2.reshape(nodes.shape) @ _GAUSS_W)
     cum1 = np.concatenate(([0.0], np.cumsum(cell1)))
     cum2 = np.concatenate(([0.0], np.cumsum(cell2)))
-    return _WCache(_W_DELTA, n_cells, tuple(cum1), tuple(cum2))
+    # for large phi_c the far cells overflow; R never reaches them unless
+    # kappa_general's conditioning guard refuses the mode anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = cum2[:-1, None] + half * (v2.reshape(nodes.shape) @ _GAUSS_INT.T)
+        cellj = half * ((v1.reshape(nodes.shape) * w2) @ _GAUSS_W)
+    cumj = np.concatenate(([0.0], np.cumsum(cellj)))
+    return _WCache(_W_DELTA, n_cells, tuple(cum1), tuple(cum2), tuple(cumj))
 
 
 def _w_many(
@@ -650,8 +689,9 @@ def _weighted_noise_floor(mode: ModeParams) -> float:
     variation-of-parameters pieces g_k w_k compound it: the w-integrands
     themselves grow like e^{(phi_c - 2) u}, so their cancellation residue
     doubles the exponent.  Tolerances below the integrated envelope are
-    unreachable and would only drive the adaptive splitter into its
-    refinement budget.
+    unreachable and would only drive the adaptive splitter of the
+    quadrature cross-route into its refinement budget; kappa_general
+    carries the same envelope into kappa for its conditioning guard.
     """
     cancel = mode.phi_c - 2.0
     growth = cancel + max(cancel, 0.0)
@@ -662,6 +702,23 @@ def _weighted_noise_floor(mode: ModeParams) -> float:
     else:
         accumulated = math.expm1(growth * R) / growth
     return 32.0 * eps * max(accumulated, 1.0)
+
+
+def _connection_noise(mode: ModeParams) -> float:
+    """Relative rounding of g1, g2 near the degenerate points phi_c = k + 1/2.
+
+    There b - a = phi_c - 1/2 sits a distance d from an integer k >= 1, and
+    each branch of the connection formula carries a Gamma pole of size 1/d.
+    d is known only to about eps * phi_c, so each branch is off by about
+    eps phi_c / d^2 while the two cancel to O(1).  (At k = 1, 2 and offsets
+    1e-8 to 1e-2 the resulting kappa error was 0.02-0.3 of eps / d^2.)
+    """
+    k = round(mode.phi_c - 0.5)
+    if k < 1:
+        return 0.0
+    d = abs(mode.phi_c - 0.5 - k)
+    # d > 0 here: hyp2f1_neg has already refused b - a within 1e-12 of k
+    return float(np.finfo(float).eps) * mode.phi_c / (d * d)
 
 
 def _floored_qcfg(mode: ModeParams, qcfg: QuadConfig) -> QuadConfig:
@@ -676,15 +733,44 @@ def exp_weighted_integral(
     cfg: Optional[QuadConfig] = None,
     eval_cfg: Optional[EvalConfig] = None,
 ) -> float:
-    """int_0^R e^{-t} S(t) dt by adaptive quadrature of the closed form."""
-    qcfg = _floored_qcfg(mode, cfg or _DEFAULT_QCFG)
+    """int_0^R e^{-t} S(t) dt in closed form from the w-cache anchors.
+
+    With e^{-t} g2 = 2 W0 v1, e^{-t} g1 = -2 W0 v2 and rho = g1(0)/g2(0),
+    the component integrals of ``component_exp_integrals`` become
+
+        I_f = -2 W0 (w2(R) + rho w1(R)),   I_g0 = W0 w1(R) / g2(0),
+        I_g1w1 + I_g2w2 = 2 I_g2w2 - 2 W0 w1(R) w2(R),
+        I_g2w2 = 2 W0 int_0^R v1 w2 du,
+
+    and the last integral is the cached anchor at k delta <= R plus one
+    partial 12-point cell [k delta, R], the only kernel evaluations made
+    here.  R on a cell edge or past the certified tail cut needs none.
+    """
+    qcfg = cfg or _DEFAULT_QCFG
     ecfg = eval_cfg or _DEFAULT_ECFG
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        S, _ = _s_many(ts, mode, qcfg, ecfg)
-        return np.exp(-ts) * S
-
-    return integrate(f, 0.0, mode.R, qcfg).value
+    st = _zero_state(mode, ecfg)
+    cache = _w_cache(mode, qcfg, ecfg)
+    c1 = _c1_state(mode, qcfg, ecfg)
+    delta, n_cells = cache.delta, cache.n_cells
+    # the anchor and partial cell exactly as _w_many takes them
+    t_eff = min(mode.R, n_cells * delta)
+    k = min(math.floor(mode.R / delta), n_cells)
+    w1, w2, j = cache.cum1[k], cache.cum2[k], cache.cumj[k]
+    base = k * delta
+    half = 0.5 * (t_eff - base)
+    if half != 0.0:
+        nodes = 0.5 * (base + t_eff) + half * _GAUSS_X
+        v1, v2 = _v_many(nodes, mode, ecfg)
+        w2_nodes = w2 + half * (_GAUSS_INT @ v2)
+        j += half * ((v1 * w2_nodes) @ _GAUSS_W)
+        w1 += half * (v1 @ _GAUSS_W)
+        w2 += half * (v2 @ _GAUSS_W)
+    w0 = st["W0"]
+    i_f = -2.0 * w0 * (w2 + st["rho"] * w1)
+    i_g0 = w0 * w1 / st["g20"]
+    i_g2w2 = 2.0 * w0 * j
+    cb = mode.c * mode.beta
+    return float(c1 * i_f + mode.beta * i_g0 - cb * (2.0 * i_g2w2 - 2.0 * w0 * w1 * w2))
 
 
 def component_exp_integrals(

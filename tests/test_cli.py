@@ -79,7 +79,7 @@ def test_kappa_out_file_has_manifest_and_csv(tmp_path, capsys):
     text = path.read_text()
     comments = [l for l in text.splitlines() if l.startswith("#")]
     joined = "\n".join(comments)
-    for key in ("tool", "command", "rel_tol", "abs_tol", "timestamp", "wall_time_s"):
+    for key in ("tool", "command", "crossover_z", "timestamp", "wall_time_s"):
         assert f"# {key}:" in joined
     assert "# tool: mollab" in joined
     body = _body(text).splitlines()
@@ -275,18 +275,16 @@ def test_verify_bad_level_rejected_by_parser(capsys):
 # ----------------------------------------------------------- tolerances
 
 
-def test_tol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MOLLAB_TOL", "1e-09")
-    _, out = _run(capsys, "table", "0.25")
-    assert "# rel_tol: 1e-09" in out
-    # explicit flag beats the environment
-    _, out = _run(capsys, "table", "0.25", "--tol", "1e-08")
-    assert "# rel_tol: 1e-08" in out
-
-
-def test_tol_env_invalid(capsys, monkeypatch):
+def test_tol_option_removed(capsys, monkeypatch):
+    # no quadrature runs on a CLI path, so there is no tolerance to set
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "0.25", "--tol", "1e-08"])
+    assert excinfo.value.code == EXIT_USAGE
     monkeypatch.setenv("MOLLAB_TOL", "not-a-number")
-    assert _run(capsys, "kappa", "--theta", "0.25")[0] == EXIT_USAGE
+    code, out = _run(capsys, "kappa", "--theta", "0.25", "--json")
+    assert code == EXIT_OK
+    manifest = json.loads(out)["manifest"]
+    assert "rel_tol" not in manifest and "abs_tol" not in manifest
 
 
 def test_usage_errors(capsys):
@@ -295,6 +293,41 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["kappa"])  # --theta is required
     assert excinfo.value.code == EXIT_USAGE
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "--theta", "nan"],
+        ["kappa", "--theta", "inf"],
+        ["kappa", "--theta", "0.25", "--R", "nan"],
+        ["kappa", "--theta", "0.25", "--beta", "nan"],
+        ["table", "0.25", "nan"],
+        ["table", "--grid", "0.01:inf:3"],
+        ["solve", "--R", "2", "--c", "nan"],
+        ["solve", "--R=-inf"],
+        ["limit", "--R-list", "5,nan"],
+        ["limit", "--y0", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_finite_input_is_usage_error(argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("maths ran on non-finite input")
+
+    for name in ("kappa_special", "kappa_general"):
+        monkeypatch.setattr(f"mollab.kappa.{name}", refuse)
+    monkeypatch.setattr("mollab.varsol.s_profile", refuse)
+    monkeypatch.setattr("mollab.siegel.step_limit_scan", refuse)
+    assert _exit_code(argv) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
 
 
 def test_truncation_option_removed(capsys):

@@ -12,8 +12,11 @@ import types
 import numpy as np
 import pytest
 
+from mollab import kappa as kappa_module
+from mollab import varsol as varsol_module
 from mollab.kappa import (
     GridTooCoarse,
+    IllConditioned,
     InvalidR,
     KappaResult,
     MollifierSpec,
@@ -227,6 +230,44 @@ def test_kappa_over_theta_window():
 def test_nonpositive_argument_raised_not_clamped(mode_r2):
     with pytest.raises(NonPositiveArgument):
         kappa_from_functional(mode_r2, -1.0e6)
+
+
+def test_kappa_runs_without_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature on the kappa path")
+
+    monkeypatch.setattr(varsol_module, "integrate", refuse)
+    monkeypatch.setattr(kappa_module, "integrate", refuse)
+    assert kappa_special(0.25).kappa == pytest.approx(0.176, abs=2e-3)
+    assert math.isfinite(kappa_general(0.3, 2.5, 1.0).kappa)
+    assert math.isfinite(kappa_general(0.5, 2.0, 1.3).kappa)
+
+
+@pytest.mark.parametrize("R", [45.0, 50.0])
+def test_ill_conditioned_general_mode_raises(R):
+    # phi_c ~ 2.4 and 2.2: the tail's rounding grows like e^{2 (phi_c - 2) R}
+    # (kappa/theta came out as -19.03 and 0.33899 against 0.1705 and 0.33962)
+    with pytest.raises(IllConditioned):
+        kappa_general(0.01, R, 1.0)
+
+    # (kappa_general(0.01, 50, 1.3) still answers: test_stable_through_R_fifty)
+
+
+def test_ill_conditioned_checked_before_the_log_argument():
+    # phi_c ~ 40: the log argument is garbage of either sign
+    with pytest.raises(IllConditioned):
+        kappa_general(0.0255, 0.85, 1.0)
+    assert issubclass(IllConditioned, ArithmeticError)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_near_degenerate_connection_point_raises(k):
+    # phi_c = k + 1/2 at R = sqrt(3)/(2k theta); a relative offset of 1e-6
+    # in R answered kappa off by 1.7e-5 (k = 1) and 1.0e-6 (k = 2)
+    R = math.sqrt(3.0) / (2 * k * 0.25)
+    with pytest.raises(IllConditioned):
+        kappa_general(0.25, R * (1.0 + 1e-6), 1.0)
+    assert math.isfinite(kappa_general(0.25, R * (1.0 + 1e-2), 1.0).kappa)
 
 
 def test_invalid_inputs():

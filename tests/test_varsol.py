@@ -329,6 +329,41 @@ def test_exp_weighted_integral_affine_identity(mode_r5, mode_general):
         assert exp_weighted_integral(mode) == pytest.approx(affine, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [
+        make_mode_special(0.25),
+        make_mode_general(0.3, 2.5, 1.0),
+        make_mode_general(0.2, 4.0, 0.7),
+        make_mode_special(1.0 / 500.0),  # R ~ 387, past the tail cut
+        make_mode_general(0.3, 3.0, 1.0),  # R on a cell edge
+    ],
+    ids=["special-quarter", "general-beta1", "general-beta0.7", "R387", "cell-edge"],
+)
+def test_exp_weighted_integral_matches_quadrature_route(mode):
+    # the closed form against the adaptive quadrature of each component
+    parts = component_exp_integrals(mode)
+    affine = (
+        c1_constant(mode) * parts["f"]
+        + mode.beta * parts["g0"]
+        - mode.c * mode.beta * (parts["g1w1"] + parts["g2w2"])
+    )
+    assert exp_weighted_integral(mode) == pytest.approx(affine, rel=1e-12)
+
+
+def test_exp_weighted_integral_continuous_across_cell_edge():
+    # R = 3 is an anchor of the w-cache: no partial cell on the edge, a
+    # short one on either side.  The one-sided differences must agree to
+    # second order, so the anchors and the partial cells join without a jump.
+    d = 1e-7
+    lo, mid, hi = (
+        exp_weighted_integral(make_mode_general(0.3, 3.0 + s * d, 1.0))
+        for s in (-1.0, 0.0, 1.0)
+    )
+    assert abs(mid - lo) > 1e-10
+    assert (hi - mid) == pytest.approx(mid - lo, abs=1e-13)
+
+
 def test_exp_weighted_integral_limit():
     mode = special_mode_for_R(40.0)
     val = exp_weighted_integral(mode)
