@@ -276,7 +276,7 @@ def test_verify_bad_level_rejected_by_parser(capsys):
 
 
 def test_tol_option_removed(capsys, monkeypatch):
-    # no quadrature runs on a CLI path, so there is no tolerance to set
+    # no number a command prints depends on a quadrature tolerance any more
     with pytest.raises(SystemExit) as excinfo:
         main(["table", "0.25", "--tol", "1e-08"])
     assert excinfo.value.code == EXIT_USAGE
