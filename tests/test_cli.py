@@ -275,11 +275,20 @@ def test_verify_bad_level_rejected_by_parser(capsys):
 # ----------------------------------------------------------- tolerances
 
 
-def test_tol_option_removed(capsys, monkeypatch):
-    # no number a command prints depends on a quadrature tolerance any more
+# No number a command prints depends on a quadrature tolerance any more:
+# --tol is gone from the parser and MOLLAB_TOL is no longer read.
+
+
+def test_tol_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("MOLLAB_TOL", "1e-09")
+    _, out = _run(capsys, "table", "0.25")
+    assert "rel_tol" not in out and "abs_tol" not in out
     with pytest.raises(SystemExit) as excinfo:
         main(["table", "0.25", "--tol", "1e-08"])
     assert excinfo.value.code == EXIT_USAGE
+
+
+def test_tol_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("MOLLAB_TOL", "not-a-number")
     code, out = _run(capsys, "kappa", "--theta", "0.25", "--json")
     assert code == EXIT_OK
