@@ -23,7 +23,7 @@ The pipeline, bottom to top:
 __version__ = "0.1.0"
 
 from .quad import QuadConfig, QuadResult, integrate, tail_bound
-from .hyp2f1 import EvalConfig, HypArgs, hyp2f1_deriv, hyp2f1_neg
+from .hyp2f1 import HypArgs, hyp2f1_deriv, hyp2f1_neg
 from .varsol import (
     ModeParams,
     SPECIAL_THETA_R,
@@ -43,7 +43,7 @@ from .kappa import (
     kappa_special,
 )
 from .oracle import SolutionProfile, bvp_solve, compare_profiles, discrete_minimize
-from .siegel import StepFunction, q_profile, q_value, step_limit_scan
+from .siegel import q_profile, q_value, step_limit_scan
 
 __all__ = [
     "__version__",
@@ -51,7 +51,6 @@ __all__ = [
     "QuadResult",
     "integrate",
     "tail_bound",
-    "EvalConfig",
     "HypArgs",
     "hyp2f1_deriv",
     "hyp2f1_neg",
@@ -73,7 +72,6 @@ __all__ = [
     "bvp_solve",
     "compare_profiles",
     "discrete_minimize",
-    "StepFunction",
     "q_profile",
     "q_value",
     "step_limit_scan",

@@ -18,13 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .hyp2f1 import (
-    EvalConfig,
-    HypArgs,
-    hyp2f1_neg,
-    hyp2f1_pfaff,
-    hyp2f1_series,
-)
+from .hyp2f1 import HypArgs, hyp2f1_neg, hyp2f1_pfaff, hyp2f1_series
 from . import kappa as _kappa
 from . import oracle as _oracle
 from . import siegel as _siegel
@@ -117,19 +111,18 @@ def check_route_overlap(
             ]
 
     def body():
-        cfg = EvalConfig()
         worst = 0.0
         n_pts = 0
         for a, b, c in triples:
             for z in (-0.6, -0.75, -0.9):
-                s = hyp2f1_series(HypArgs(a, b, c, z), cfg)
-                p = hyp2f1_pfaff(HypArgs(a, b, c, z), cfg)
+                s = hyp2f1_series(HypArgs(a, b, c, z))
+                p = hyp2f1_pfaff(HypArgs(a, b, c, z))
                 worst = max(worst, abs(s - p) / max(abs(s), 1.0))
                 n_pts += 1
             for z in (-1.1, -1.8, -3.0):
-                p = hyp2f1_pfaff(HypArgs(a, b, c, z), cfg)
+                p = hyp2f1_pfaff(HypArgs(a, b, c, z))
                 t = 0.5 * np.log(-z)
-                n = float(hyp2f1_neg(a, b, c, t, cfg))
+                n = float(hyp2f1_neg(a, b, c, t))
                 worst = max(worst, abs(p - n) / max(abs(p), 1.0))
                 n_pts += 1
         return worst, f"{len(triples)} triples x {n_pts // len(triples)} points"
@@ -211,7 +204,7 @@ def check_named_constants() -> CheckResult:
         )
         cv = _varsol.components_at(0.0, m)
         v1_0, v2_0 = _varsol.v_integrands(0.0, m)
-        zs = _varsol._zero_state(m, _varsol._DEFAULT_ECFG)
+        zs = _varsol._zero_state(m)
         checks = [
             ("w1_inf", w1, 1.3208, 2e-3),
             ("w2_inf", w2, 2.8166, 2e-3),
@@ -333,7 +326,7 @@ def check_quadrature_route(bound: float = 1e-9) -> CheckResult:
         worst = 0.0
         for theta in (0.5, 0.25):
             res = _kappa.kappa_special(theta)
-            mode, _ = _kappa._special_scaled_c(theta, None, None)
+            mode, _ = _kappa._special_scaled_c(theta)
             cq = _kappa.c_pqr_quadrature(mode)
             worst = max(worst, abs(cq - res.c_pqr) / res.c_pqr)
         return worst, "theta in {1/2, 1/4}"

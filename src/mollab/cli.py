@@ -13,9 +13,9 @@ Commands
 
 Conventions
     CSV bodies are byte-identical across identical invocations; the
-    run manifest (tool version, series crossover, parameters, wall time,
-    timestamp) rides in '#'-prefixed comment lines so volatile fields
-    never touch the body.  --json mirrors the same data as JSON.
+    run manifest (tool version, parameters, wall time, timestamp) rides
+    in '#'-prefixed comment lines so volatile fields never touch the
+    body.  --json mirrors the same data as JSON.
     Exit codes: 0 success, 2 usage error (including a nan or infinite
     number anywhere in the input), 3 numeric failure, 4 verification
     failure.
@@ -38,7 +38,6 @@ from typing import List, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .hyp2f1 import EvalConfig
 from . import _verify
 from . import kappa as _kappa
 from . import siegel as _siegel
@@ -119,7 +118,6 @@ class RunManifest:
 
     version: str
     command: str
-    crossover_z: float
     params: dict
     wall_time_s: float
     timestamp: str
@@ -128,7 +126,6 @@ class RunManifest:
         items = [
             ("tool", f"mollab {self.version}"),
             ("command", self.command),
-            ("crossover_z", _fmt(self.crossover_z)),
             ("params", json.dumps(self.params, sort_keys=True)),
             ("wall_time_s", f"{self.wall_time_s:.3f}"),
             ("timestamp", self.timestamp),
@@ -140,9 +137,7 @@ class RunManifest:
 
 
 def _fmt(x: float) -> str:
-    """15 significant digits; inf/nan spelled plainly."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    """15 significant digits; inf, -inf and nan as spelled by format."""
     return f"{x:.15g}"
 
 
@@ -154,7 +149,6 @@ def _make_manifest(command: str, params: dict, wall: float) -> RunManifest:
     return RunManifest(
         version=__version__,
         command=command,
-        crossover_z=EvalConfig().crossover_z,
         params=params,
         wall_time_s=wall,
         timestamp=_now(),

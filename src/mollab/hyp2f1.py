@@ -2,8 +2,8 @@
 
 Three regimes, dispatched on z:
 
-* |z| <= crossover_z: defining power series (term recurrence, no Gamma).
-* crossover_z < |z| < 1, z < 0: Pfaff map w = z/(z-1) in (0, 1/2), then the
+* |z| <= 0.75: defining power series (term recurrence, no Gamma).
+* 0.75 < |z| < 1, z < 0: Pfaff map w = z/(z-1) in (0, 1/2), then the
   series in w.
 * z <= -1, parameterized z = -exp(2t) with t >= 0: two-branch connection
   formula.  Each branch's inner sum is itself Pfaff-mapped so its argument
@@ -21,9 +21,10 @@ Every series is summed to a fixed term count N.  N comes from one scalar
 pass of the stopping rule at the batch's largest-|z| point; the batch is
 then summed by Horner's scheme, and the rule is checked again at every
 point, with N growing while any point fails.  The rule: the last three
-terms are each <= rel_tol * |sum|, or below the rounding floor
-eps * sum_n |term_n| where the sum cancels to about 0.  Past max_terms the
-series raises NonConvergence.
+terms are each <= 1e-12 * |sum|, or below the rounding floor
+eps * sum_n |term_n| where the sum cancels to about 0.  Past 400 terms the
+series raises NonConvergence.  These three settings are fixed module
+constants.
 
 hyp2f1_neg takes an optional scale_exp sigma and returns
 exp(sigma*t) * 2F1 with the exponential folded into each branch
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "HypArgs",
-    "EvalConfig",
     "Pole",
     "InvalidC",
     "NonConvergence",
@@ -83,29 +83,11 @@ class HypArgs:
     z: float
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Series controls: relative tolerance, term cap, regime switch.
-
-    crossover_z is the |z| threshold at which evaluation leaves the direct
-    series for the transformed regimes; it must stay inside (0.5, 1) so
-    both sides of the switch keep a workable geometric ratio.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 400
-    crossover_z: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be >= 8")
-        if not 0.5 < self.crossover_z < 1.0:
-            raise ValueError("crossover_z must lie in (0.5, 1)")
-
-
-_DEFAULT = EvalConfig()
+_REL_TOL = 1e-12  # series stopping rule, relative to the sum
+_MAX_TERMS = 400  # series term cap
+# |z| at which evaluation leaves the direct series for the transformed
+# regimes; inside (0.5, 1) both sides keep a workable geometric ratio
+_CROSSOVER_Z = 0.75
 _EPS = float(np.finfo(float).eps)
 
 
@@ -159,7 +141,9 @@ def _gamma_ratio(num: Sequence[float], den: Sequence[float]) -> float:
     return sign * math.exp(lg)
 
 
-def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+def _series_sum(
+    a: float, b: float, c: float, z: np.ndarray, max_terms: int = _MAX_TERMS
+) -> np.ndarray:
     """sum_n (a)_n (b)_n / ((c)_n n!) z^n at every point of z, in three steps.
 
     1. Term count: one scalar pass of the stopping rule at the point of
@@ -170,9 +154,9 @@ def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) ->
        in-place ufunc calls per term.  A single point is the scalar pass's
        own point: it is summed in Python floats and needs no step 3.
     3. Check: the rule again at every point.  While any point fails, N
-       doubles; past cfg.max_terms NonConvergence is raised.
+       doubles; past max_terms NonConvergence is raised.
 
-    The stopping rule: the last three terms are each <= rel_tol * |sum|, or
+    The stopping rule: the last three terms are each <= _REL_TOL * |sum|, or
     below the rounding floor eps * sum_n |term_n|.  The floor covers sums
     that cancel to about 0 (at such a point the relative test could only
     pass by terms underflowing).  z is not modified.
@@ -181,7 +165,6 @@ def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) ->
         raise InvalidC(f"lower parameter c={c} is a non-positive integer")
     if z.size == 0:
         return np.ones_like(z)
-    rel_tol, max_terms = cfg.rel_tol, cfg.max_terms
 
     def ratio(n: int) -> float:
         return ((a + n) * (b + n)) / ((c + n) * (n + 1.0))
@@ -205,7 +188,7 @@ def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) ->
         term *= r * z_far
         total += term
         abs_sum += abs(term)
-        small = abs(term) <= max(rel_tol * abs(total), _EPS * abs_sum)
+        small = abs(term) <= max(_REL_TOL * abs(total), _EPS * abs_sum)
         streak = streak + 1 if small else 0
     if z.size == 1:
         acc = 0.0
@@ -225,7 +208,7 @@ def _series_sum(a: float, b: float, c: float, z: np.ndarray, cfg: EvalConfig) ->
         for k in (N - 1, N):
             power *= az
             np.maximum(last, abs(coef[k]) * power, out=last)
-        bad = last > rel_tol * np.abs(acc)
+        bad = last > _REL_TOL * np.abs(acc)
         if bad.any():
             # rounding floor, only where the relative test failed
             az_bad = az[bad]
@@ -247,23 +230,21 @@ def _as_array(x: ArrayLike) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def hyp2f1_series(args: HypArgs, cfg: Optional[EvalConfig] = None) -> float:
+def hyp2f1_series(args: HypArgs) -> float:
     """Direct power series; requires |z| < 1."""
-    cfg = cfg or _DEFAULT
     if abs(args.z) >= 1.0:
         raise NonConvergence(f"direct series needs |z| < 1, got z={args.z}")
     z = np.array([args.z])
-    return float(_series_sum(args.a, args.b, args.c, z, cfg)[0])
+    return float(_series_sum(args.a, args.b, args.c, z)[0])
 
 
-def hyp2f1_pfaff(args: HypArgs, cfg: Optional[EvalConfig] = None) -> float:
+def hyp2f1_pfaff(args: HypArgs) -> float:
     """Pfaff transform (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)); requires z < 1/2."""
-    cfg = cfg or _DEFAULT
     a, b, c, z = args.a, args.b, args.c, args.z
     if z >= 0.5:
         raise NonConvergence(f"pfaff map needs z < 1/2, got z={z}")
     w = z / (z - 1.0)
-    inner = _series_sum(a, c - b, c, np.array([w]), cfg)[0]
+    inner = _series_sum(a, c - b, c, np.array([w]))[0]
     return float((1.0 - z) ** (-a) * inner)
 
 
@@ -272,7 +253,6 @@ def hyp2f1_neg(
     b: float,
     c: float,
     t: ArrayLike,
-    cfg: Optional[EvalConfig] = None,
     scale_exp: float = 0.0,
 ) -> ArrayLike:
     """exp(scale_exp*t) * 2F1(a, b; c; -exp(2t)) for t >= 0, vectorized.
@@ -290,7 +270,6 @@ def hyp2f1_neg(
     connection coefficients pole) and InvalidC when c is a non-positive
     integer.
     """
-    cfg = cfg or _DEFAULT
     if _is_nonpos_int(c):
         raise InvalidC(f"lower parameter c={c} is a non-positive integer")
     if _is_int(b - a):
@@ -306,8 +285,8 @@ def hyp2f1_neg(
 
     em2t = np.exp(-2.0 * ts)
     zeta = em2t / (1.0 + em2t)
-    sum_a = _series_sum(a, c - b, a - b + 1.0, zeta, cfg) if A != 0.0 else 0.0
-    sum_b = _series_sum(b, c - a, b - a + 1.0, zeta, cfg) if B != 0.0 else 0.0
+    sum_a = _series_sum(a, c - b, a - b + 1.0, zeta) if A != 0.0 else 0.0
+    sum_b = _series_sum(b, c - a, b - a + 1.0, zeta) if B != 0.0 else 0.0
     base = 1.0 + em2t
     with np.errstate(over="ignore"):
         out = A * np.exp((scale_exp - 2.0 * a) * ts) * base ** (-a) * sum_a
@@ -315,27 +294,25 @@ def hyp2f1_neg(
     return float(out[0]) if scalar else out
 
 
-def hyp2f1(args: HypArgs, cfg: Optional[EvalConfig] = None) -> float:
-    """Regime-dispatched 2F1 on the real ray z <= crossover_z < 1."""
-    cfg = cfg or _DEFAULT
+def hyp2f1(args: HypArgs) -> float:
+    """Regime-dispatched 2F1 on the real ray z < 1."""
     z = args.z
     if z != z:  # NaN
         raise ValueError("z is NaN")
     if z >= 1.0:
         raise ValueError(f"real-ray evaluation needs z < 1, got z={z}")
-    if abs(z) <= cfg.crossover_z:
-        return hyp2f1_series(args, cfg)
+    if abs(z) <= _CROSSOVER_Z:
+        return hyp2f1_series(args)
     if z > -1.0:
         if z > 0.0:
             # positive z close to 1 is outside this module's focus but the
             # Pfaff map still converges for z < 1/2; fall back to series
-            return hyp2f1_series(args, cfg)
-        return hyp2f1_pfaff(args, cfg)
-    return float(hyp2f1_neg(args.a, args.b, args.c, 0.5 * math.log(-z), cfg))
+            return hyp2f1_series(args)
+        return hyp2f1_pfaff(args)
+    return float(hyp2f1_neg(args.a, args.b, args.c, 0.5 * math.log(-z)))
 
 
-def hyp2f1_deriv(args: HypArgs, cfg: Optional[EvalConfig] = None) -> float:
+def hyp2f1_deriv(args: HypArgs) -> float:
     """d/dz 2F1(a,b;c;z) = (a b / c) 2F1(a+1, b+1; c+1; z)."""
-    cfg = cfg or _DEFAULT
     shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z)
-    return (args.a * args.b / args.c) * hyp2f1(shifted, cfg)
+    return (args.a * args.b / args.c) * hyp2f1(shifted)

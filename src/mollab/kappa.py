@@ -54,8 +54,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hyp2f1 import EvalConfig
-from .quad import QuadConfig, integrate
+from .quad import integrate
 from .siegel import q_profile
 from .varsol import (
     SPECIAL_THETA_R,
@@ -76,7 +75,6 @@ __all__ = [
     "GridTooCoarse",
     "MollifierSpec",
     "KappaResult",
-    "mollifier_moments",
     "equal_weight_R",
     "c_pqr_special",
     "c_pqr_quadrature",
@@ -90,6 +88,7 @@ _SQRT15 = math.sqrt(15.0)
 _EXP_MAX = 700.0  # log of the largest comfortably representable double
 _LOG_HUGE = 709.0  # beyond this, exp() overflows; saturate reported c to inf
 _KAPPA_NOISE_MAX = 1e-9  # largest kappa shift that rounding may cause
+_K_GAP_FLOOR = 1e-11  # absolute floor of k_functional_direct's half-grid test
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -184,13 +183,6 @@ class MollifierSpec:
         return self.kind
 
 
-def mollifier_moments(spec: MollifierSpec) -> Tuple[float, float]:
-    """(B, C) of the spec: closed forms for the built-in kinds, the
-    user-supplied pair for ``custom`` (validated positive at construction).
-    """
-    return spec.B, spec.C
-
-
 def equal_weight_R(theta: float, spec: MollifierSpec) -> float:
     """The R that balances the two functional weights, c0 = c1.
 
@@ -200,8 +192,7 @@ def equal_weight_R(theta: float, spec: MollifierSpec) -> float:
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    B, C = mollifier_moments(spec)
-    return math.sqrt(C / (5.0 * B)) / theta
+    return math.sqrt(spec.C / (5.0 * spec.B)) / theta
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +222,12 @@ class KappaResult:
             raise ValueError(f"c_pqr must be positive, got {self.c_pqr}")
 
 
-def _special_scaled_c(
-    theta: float,
-    cfg: Optional[QuadConfig],
-    eval_cfg: Optional[EvalConfig],
-) -> Tuple[ModeParams, float]:
+def _special_scaled_c(theta: float) -> Tuple[ModeParams, float]:
     """(mode, G) with G = c(P,Q,R) e^{-R}, assembled from O(1) pieces."""
     mode = make_mode_special(theta)
     R = mode.R
-    sp0 = s_prime_zero(mode, cfg, eval_cfg)
-    tail = exp_weighted_integral(mode, cfg, eval_cfg)
+    sp0 = s_prime_zero(mode)
+    tail = exp_weighted_integral(mode)
     bracket = -math.expm1(-R) - sp0 - tail
     G = math.exp(-R) * (0.5 - 1.0 / _SQRT15) + (2.0 / _SQRT15) * bracket
     if not G > 0.0:
@@ -250,30 +237,22 @@ def _special_scaled_c(
     return mode, G
 
 
-def c_pqr_special(
-    theta: float,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def c_pqr_special(theta: float) -> float:
     """Equal-weight moment constant
     c = 1/2 + (-1 + 2 e^R (1 - e^{-R} - S'(0) - int_0^R e^{-t} S dt)) / sqrt(15).
 
     Evaluated as e^R times an O(1) scaled constant, so the R-dependence
     enters once; overflows to inf only when c itself is not representable.
     """
-    mode, G = _special_scaled_c(theta, cfg, eval_cfg)
+    mode, G = _special_scaled_c(theta)
     return _exp_or_inf(mode.R + math.log(G))
 
 
-def kappa_special(
-    theta: float,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> KappaResult:
+def kappa_special(theta: float) -> KappaResult:
     """The bound at the equal-weight point R = sqrt(3/5)/theta, beta = 1:
     kappa = 1 - log(c)/R = -log(c e^{-R})/R.
     """
-    mode, G = _special_scaled_c(theta, cfg, eval_cfg)
+    mode, G = _special_scaled_c(theta)
     kappa = -math.log(G) / mode.R
     return KappaResult(
         theta=theta,
@@ -294,8 +273,6 @@ def kappa_general(
     R: float,
     beta: float,
     spec: Optional[MollifierSpec] = None,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
 ) -> KappaResult:
     """The bound for free R, beta and mollifier moments:
 
@@ -312,11 +289,10 @@ def kappa_general(
     first.
     """
     spec = spec or MollifierSpec.linear()
-    B, C = mollifier_moments(spec)
-    mode = make_mode_general(theta, R, beta, B, C)
+    mode = make_mode_general(theta, R, beta, spec.B, spec.C)
     c0, c1 = mode.c0, mode.c1
-    sp0 = s_prime_zero(mode, cfg, eval_cfg)
-    tail = exp_weighted_integral(mode, cfg, eval_cfg)
+    sp0 = s_prime_zero(mode)
+    tail = exp_weighted_integral(mode)
 
     # e^R-scale coefficient: everything in K(S) except the cosh R term
     D1 = (c0 * beta * beta * (-math.expm1(-R)) - c1 * beta * sp0 - c0 * beta * tail) / (
@@ -324,7 +300,7 @@ def kappa_general(
     )
     bm1 = beta - 1.0
     if bm1 != 0.0:
-        spR = s_prime(R, mode, cfg, eval_cfg)
+        spR = s_prime(R, mode)
         # (e^R/2R) 2 (beta-1) c1 S'(R) cosh R splits into e^{2R} and e^0 parts
         cross = bm1 * c1 * spR / (2.0 * R)
     else:
@@ -398,11 +374,7 @@ def kappa_from_functional(mode: ModeParams, k_value: float) -> KappaResult:
 # direct-quadrature cross routes
 
 
-def c_pqr_quadrature(
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def c_pqr_quadrature(mode: ModeParams) -> float:
     """Moment constant by direct quadrature of the defining functional,
 
         c = 1/2 + e^{2R}(beta-1)^2/2
@@ -414,13 +386,12 @@ def c_pqr_quadrature(
     unit-interval route forms e^{2Ry} literally, so it is a moderate-R
     instrument (R below ~350); the closed form is the production path.
     """
-    qcfg = cfg or QuadConfig()
     theta, R, beta = mode.theta, mode.R, mode.beta
     B = mode.c1 / (4.0 * theta * R * R)
     C = theta * (mode.c0 + mode.c1 / 4.0)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
-        Q, Qp = q_profile(ys, mode, qcfg, eval_cfg)
+        Q, Qp = q_profile(ys, mode)
         grow = np.exp(R * np.asarray(ys, dtype=float))
         w = grow * Q
         wp = grow * (R * Q + Qp)
@@ -428,8 +399,8 @@ def c_pqr_quadrature(
 
     # Q is C^2 but not C^3 across y = 1/2 (the reflection flips S'''), so
     # the halves are integrated separately
-    left = integrate(integrand, 0.0, 0.5, qcfg)
-    right = integrate(integrand, 0.5, 1.0, qcfg)
+    left = integrate(integrand, 0.0, 0.5)
+    right = integrate(integrand, 0.5, 1.0)
     bm1 = beta - 1.0
     return 0.5 + math.exp(2.0 * R) * bm1 * bm1 / 2.0 + left.value + right.value
 
@@ -439,10 +410,8 @@ def c_pqr_quadrature(
 
 
 def _coarse_indices(n: int) -> np.ndarray:
-    idx = list(range(0, n, 2))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return np.asarray(idx, dtype=int)
+    idx = np.arange(0, n, 2)
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
 
 
 def _k_p1(grid: np.ndarray, vals: np.ndarray, mode: ModeParams) -> float:
@@ -477,10 +446,7 @@ def _k_trapezoid(
 
 
 def k_functional_direct(
-    profile,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    refine_rel: float = 1e-4,
+    profile, mode: ModeParams, refine_rel: float = 1e-4
 ) -> float:
     """K(S) integrated directly over a discrete profile.
 
@@ -490,14 +456,13 @@ def k_functional_direct(
     extrapolation so it remains the discrete minimizer's exact objective.
 
     The half-grid disagreement gauges the discretization error; when it
-    exceeds refine_rel relatively (floor cfg.abs_tol), the grid cannot
+    exceeds refine_rel relatively (floor 1e-11 absolute), the grid cannot
     support the ~1e-5 cross-checks this evaluator exists for and
     GridTooCoarse is raised instead of returning a misleading value.
 
     Boundary admissibility (S(0) = beta/2, S(R) = beta - 1, both to
     1e-12 absolute) is a precondition; violating profiles are rejected.
     """
-    qcfg = cfg or QuadConfig()
     grid = np.asarray(profile.grid, dtype=float)
     vals = np.asarray(profile.values, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or grid.size != vals.size:
@@ -528,7 +493,7 @@ def k_functional_direct(
         k_half = _k_trapezoid(grid[idx], vals[idx], der[idx], mode)
         extrapolate = True
     gap = abs(k_fine - k_half)
-    if gap > max(refine_rel * abs(k_fine), qcfg.abs_tol):
+    if gap > max(refine_rel * abs(k_fine), _K_GAP_FLOOR):
         raise GridTooCoarse(
             f"half-grid disagreement {gap:.3e} exceeds "
             f"{refine_rel:.1e} of |K| = {abs(k_fine):.6e}"

@@ -19,9 +19,10 @@ Two independent numerical routes recompute the optimal profile S on
 
   over interior node values (piecewise-linear S, cell-slope S', every
   integral by the trapezoid rule).  Its normal equations form a
-  symmetric positive-definite tridiagonal system whenever c0, c1 > 0;
-  they are a consistent discretization of the same ODE, so the two
-  oracles corroborate rather than duplicate each other.
+  symmetric tridiagonal system whose positive definiteness is checked
+  pivot by pivot (the continuous form is convex whenever c < 1/4, c0 < 0
+  included); they are a consistent discretization of the same ODE, so
+  the two oracles corroborate rather than duplicate each other.
 
 Both return a ``SolutionProfile``; ``compare_profiles`` measures sup/L2
 discrepancies between profiles (and against sampled closed forms), and
@@ -174,26 +175,20 @@ def bvp_solve(mode: ModeParams, n: int) -> SolutionProfile:
     return SolutionProfile(grid, values)
 
 
-def discrete_minimize(
-    mode: ModeParams, n: int, allow_nonconvex: bool = False
-) -> SolutionProfile:
+def discrete_minimize(mode: ModeParams, n: int) -> SolutionProfile:
     """Direct minimizer of the trapezoid-discretized functional over the
     interior node values of a uniform grid with ``n`` interior nodes.
 
     The discrete objective (piecewise-linear S, trapezoid quadrature) is
     the same one ``k_functional_direct`` evaluates for deriv-less
-    profiles, so discrete optimality is testable to roundoff.  When the
-    weights make the form non-convex (c0 < 0) the caller must opt in
-    with allow_nonconvex=True; if the assembled form is actually
-    indefinite there is no minimizer and IndefiniteForm is raised.
+    profiles, so discrete optimality is testable to roundoff.  The
+    continuous functional is convex for every mode with c < 1/4, c0 < 0
+    included; the discretized form is checked by its LDL^T pivots, and
+    if it is indefinite (an inconsistent mode, say) there is no
+    minimizer and IndefiniteForm is raised.
     """
     if n < 2:
         raise ValueError(f"discrete_minimize needs n >= 2 interior nodes, got {n}")
-    if mode.non_convex and not allow_nonconvex:
-        raise ValueError(
-            "mode has c0 < 0 (non-convex functional): pass "
-            "allow_nonconvex=True to attempt stationarity anyway"
-        )
     R, beta, c0, c1 = mode.R, mode.beta, mode.c0, mode.c1
     h = R / (n + 1)
     t_all = h * np.arange(n + 2)

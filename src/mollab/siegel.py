@@ -24,17 +24,14 @@ against their measured extractions at t = 30.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .hyp2f1 import EvalConfig, gamma_real, hyp2f1_neg
-from .quad import QuadConfig
+from .hyp2f1 import gamma_real, hyp2f1_neg
 from .varsol import SPECIAL_THETA_R, ModeParams, make_mode_special, s_profile
 
 __all__ = [
-    "StepFunction",
     "q_profile",
     "q_value",
     "step_limit_scan",
@@ -44,26 +41,7 @@ __all__ = [
 _HALF = 0.5
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    """The pointwise limit of Q_R at beta = 1: a step at y = 1/2.
-
-    Carries no state; calling it evaluates 1 below the step, 1/2 exactly
-    at it, 0 above.
-    """
-
-    def __call__(self, y):
-        ys = np.asarray(y, dtype=float)
-        out = np.where(ys < _HALF, 1.0, np.where(ys > _HALF, 0.0, _HALF))
-        return float(out) if np.ndim(y) == 0 else out
-
-
-def q_profile(
-    ys,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def q_profile(ys, mode: ModeParams) -> Tuple[np.ndarray, np.ndarray]:
     """(Q_R(y), Q_R'(y)) on an array of y in [0, 1].
 
     For y >= 1/2 this is (S, 2R S') at t = 2R (y - 1/2); for y < 1/2 the
@@ -75,19 +53,13 @@ def q_profile(
     if arr.size and (float(np.min(arr)) < 0.0 or float(np.max(arr)) > 1.0):
         raise ValueError("q_profile requires y in [0, 1]")
     ts = 2.0 * mode.R * np.abs(arr - _HALF)
-    S, Sp = s_profile(ts, mode, cfg, eval_cfg)
+    S, Sp = s_profile(ts, mode)
     Q = np.where(arr >= _HALF, S, mode.beta - S)
     Qp = 2.0 * mode.R * Sp
     return Q, Qp
 
 
-def q_value(
-    R_or_theta: float,
-    y: float,
-    as_theta: bool = False,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def q_value(R_or_theta: float, y: float, as_theta: bool = False) -> float:
     """Q_R(y) for the equal-weight mode, y in [0, 1].
 
     The first argument is the interval radius R by default; pass
@@ -100,16 +72,11 @@ def q_value(
         raise ValueError(f"R_or_theta must be positive, got {R_or_theta}")
     theta = R_or_theta if as_theta else SPECIAL_THETA_R / R_or_theta
     mode = make_mode_special(theta)
-    Q, _ = q_profile(np.array([y]), mode, cfg, eval_cfg)
+    Q, _ = q_profile(np.array([y]), mode)
     return float(Q[0])
 
 
-def step_limit_scan(
-    y0: float,
-    R_list: Sequence[float],
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> List[float]:
+def step_limit_scan(y0: float, R_list: Sequence[float]) -> List[float]:
     """Q_R(y0) along an increasing R sequence, for y0 in (1/2, 1].
 
     The caller inspects the decay toward the step value 0; by reflection
@@ -122,17 +89,16 @@ def step_limit_scan(
         raise ValueError("R_list must be strictly increasing")
     if rl and rl[0] <= 0.0:
         raise ValueError("R values must be positive")
-    return [q_value(r, y0, cfg=cfg, eval_cfg=eval_cfg) for r in rl]
+    return [q_value(r, y0) for r in rl]
 
 
-def asymptotic_constants(eval_cfg: Optional[EvalConfig] = None) -> Dict[str, float]:
+def asymptotic_constants() -> Dict[str, float]:
     """Closed-form large-t constants and their t = 30 measurements.
 
     Returns a map with the Gamma-ratio limit of e^t F+(t), the cosecant
     limit of e^{-(sqrt5 - 1) t} F-(t), and the two values extracted from
     the actual evaluator at t = 30.
     """
-    ecfg = eval_cfg or EvalConfig()
     sqrt5 = math.sqrt(5.0)
     phi = (1.0 + sqrt5) / 2.0
     mu = 1.0 - phi
@@ -144,10 +110,10 @@ def asymptotic_constants(eval_cfg: Optional[EvalConfig] = None) -> Dict[str, flo
     )
     cosecant = 1.0 / math.sin(sqrt5 * math.pi / 2.0)
     plus_measured = float(
-        hyp2f1_neg(_HALF, phi, _HALF + phi, t_ref, ecfg, scale_exp=1.0)
+        hyp2f1_neg(_HALF, phi, _HALF + phi, t_ref, scale_exp=1.0)
     )
     minus_measured = float(
-        hyp2f1_neg(_HALF, mu, _HALF + mu, t_ref, ecfg, scale_exp=-(sqrt5 - 1.0))
+        hyp2f1_neg(_HALF, mu, _HALF + mu, t_ref, scale_exp=-(sqrt5 - 1.0))
     )
     return {
         "gamma_ratio_closed": gamma_ratio,

@@ -54,7 +54,6 @@ any R when phi_c < 2, because the weight kills exactly that growth; above
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,8 +64,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from .hyp2f1 import (
     DegenerateParameters,
-    EvalConfig,
     HypArgs,
+    _as_array,
     hyp2f1_deriv,
     hyp2f1_neg,
 )
@@ -100,8 +99,6 @@ ArrayLike = Union[float, np.ndarray]
 SPECIAL_THETA_R = math.sqrt(3.0 / 5.0)
 
 _A = 0.5  # first hypergeometric parameter shared by every component
-_DEFAULT_ECFG = EvalConfig()
-_DEFAULT_QCFG = QuadConfig()
 
 _W_DELTA = 0.5  # anchor spacing for cached w-integrals
 _PROFILE_BLOCK = 1024  # output points per s_profile block
@@ -143,7 +140,10 @@ class ModeParams:
     theta: mollifier-length exponent the mode was built from (> 0).
     beta: boundary weight; the symmetric case is beta = 1.
     c: ODE coefficient, c = -c0/c1 < 1/4.
-    c0: weight of S^2 in the functional (c0 < 0 flags a non-convex mode).
+    c0: weight of S^2 in the functional; it may be negative.  The
+        functional is strictly convex all the same whenever c < 1/4 (the
+        second variation is at least (c0 + c1/4) int 2 cosh(t) dS^2), so
+        the closed-form profile is its unique minimizer.
     c1: weight of S'^2 in the functional (> 0).
     phi_c: exponent root (1 + sqrt(1 - 4c))/2.
     """
@@ -172,12 +172,6 @@ class ModeParams:
     def mu(self) -> float:
         """Second exponent root, mu = c / phi_c = 1 - phi_c."""
         return self.c / self.phi_c
-
-    @property
-    def non_convex(self) -> bool:
-        """True when c0 < 0: the functional is indefinite, the closed-form
-        profile is a stationary point but not a minimizer."""
-        return self.c0 < 0.0
 
 
 @dataclass
@@ -227,7 +221,8 @@ def make_mode_general(
 
     c0 = C/theta - theta B R^2 and c1 = 4 theta B R^2, so
     c = -c0/c1 = 1/4 - C/(4 B theta^2 R^2) < 1/4 automatically for positive
-    inputs.  c0 may be negative (mode flagged non_convex).  The isolated
+    inputs.  c0 is negative once theta R > sqrt(C/B); the mode is still a
+    convex minimization (see ModeParams).  The isolated
     parameter point c = -3/4 makes the hypergeometric connection formula
     degenerate and raises DegenerateParameters on first evaluation.
     """
@@ -253,15 +248,9 @@ def make_mode_general(
 # component evaluation
 
 
-def _as_array(x: ArrayLike) -> Tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr).astype(float), arr.ndim == 0
-
-
 def _core(
     ts: np.ndarray,
     mode: ModeParams,
-    ecfg: EvalConfig,
     scale: float,
     with_prime: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -278,19 +267,19 @@ def _core(
     """
     phi = mode.phi_c
     mu = mode.mu
-    g2s = hyp2f1_neg(_A, phi, _A + phi, ts, ecfg, scale_exp=phi - scale)
-    g1s = hyp2f1_neg(_A, mu, _A + mu, ts, ecfg, scale_exp=mu - scale)
+    g2s = hyp2f1_neg(_A, phi, _A + phi, ts, scale_exp=phi - scale)
+    g1s = hyp2f1_neg(_A, mu, _A + mu, ts, scale_exp=mu - scale)
     if not with_prime:
         return g1s, g2s, None, None
-    f1ps = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts, ecfg, scale_exp=phi - scale)
-    f1ms = hyp2f1_neg(1.5, mu, _A + mu, ts, ecfg, scale_exp=mu - scale)
+    f1ps = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts, scale_exp=phi - scale)
+    f1ms = hyp2f1_neg(1.5, mu, _A + mu, ts, scale_exp=mu - scale)
     g2ps = phi * (2.0 * f1ps - g2s)
     g1ps = (mu - 1.0) * g1s + f1ms
     return g1s, g2s, g1ps, g2ps
 
 
 @lru_cache(maxsize=128)
-def _zero_state(mode: ModeParams, ecfg: EvalConfig) -> dict:
+def _zero_state(mode: ModeParams) -> dict:
     """Per-mode constants anchored at t = 0.
 
     Derivatives at 0 go through the generic hyp2f1_deriv contiguous shift
@@ -299,17 +288,17 @@ def _zero_state(mode: ModeParams, ecfg: EvalConfig) -> dict:
     """
     phi = mode.phi_c
     mu = mode.mu
-    fp0_ = float(hyp2f1_neg(_A, phi, _A + phi, 0.0, ecfg))
-    fm0_ = float(hyp2f1_neg(_A, mu, _A + mu, 0.0, ecfg))
-    f1p0 = float(hyp2f1_neg(_A, 1.0 + phi, _A + phi, 0.0, ecfg))
-    f1m0 = float(hyp2f1_neg(1.5, mu, _A + mu, 0.0, ecfg))
+    fp0_ = float(hyp2f1_neg(_A, phi, _A + phi, 0.0))
+    fm0_ = float(hyp2f1_neg(_A, mu, _A + mu, 0.0))
+    f1p0 = float(hyp2f1_neg(_A, 1.0 + phi, _A + phi, 0.0))
+    f1m0 = float(hyp2f1_neg(1.5, mu, _A + mu, 0.0))
     g10, g20 = fm0_, fp0_
     if g20 == 0.0:
         raise BoundaryDegeneracy("g2(0) = 0; cannot normalize g0")
     rho = g10 / g20
 
-    dFp0 = -2.0 * hyp2f1_deriv(HypArgs(_A, phi, _A + phi, -1.0), ecfg)
-    dFm0 = -2.0 * hyp2f1_deriv(HypArgs(_A, mu, _A + mu, -1.0), ecfg)
+    dFp0 = -2.0 * hyp2f1_deriv(HypArgs(_A, phi, _A + phi, -1.0))
+    dFm0 = -2.0 * hyp2f1_deriv(HypArgs(_A, mu, _A + mu, -1.0))
     g2p0 = phi * g20 + dFp0
     g1p0 = mu * g10 + dFm0
 
@@ -332,9 +321,7 @@ def _zero_state(mode: ModeParams, ecfg: EvalConfig) -> dict:
     }
 
 
-def components_at(
-    t: ArrayLike, mode: ModeParams, eval_cfg: Optional[EvalConfig] = None
-) -> ComponentValues:
+def components_at(t: ArrayLike, mode: ModeParams) -> ComponentValues:
     """All component values at t (scalar or vector), unscaled.
 
     W is the literal product-formula Wronskian
@@ -342,17 +329,16 @@ def components_at(
     cancellation at large t (diagnostic use only -- the solution kernels
     transport W(0) by the Abel identity instead).
     """
-    ecfg = eval_cfg or _DEFAULT_ECFG
     ts, scalar = _as_array(t)
     phi = mode.phi_c
     mu = mode.mu
-    st = _zero_state(mode, ecfg)
-    Fp = hyp2f1_neg(_A, phi, _A + phi, ts, ecfg)
-    Fm = hyp2f1_neg(_A, mu, _A + mu, ts, ecfg)
-    F1p = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts, ecfg)
-    F1m = hyp2f1_neg(1.5, mu, _A + mu, ts, ecfg)
-    g1 = hyp2f1_neg(_A, mu, _A + mu, ts, ecfg, scale_exp=mu)
-    g2 = hyp2f1_neg(_A, phi, _A + phi, ts, ecfg, scale_exp=phi)
+    st = _zero_state(mode)
+    Fp = hyp2f1_neg(_A, phi, _A + phi, ts)
+    Fm = hyp2f1_neg(_A, mu, _A + mu, ts)
+    F1p = hyp2f1_neg(_A, 1.0 + phi, _A + phi, ts)
+    F1m = hyp2f1_neg(1.5, mu, _A + mu, ts)
+    g1 = hyp2f1_neg(_A, mu, _A + mu, ts, scale_exp=mu)
+    g2 = hyp2f1_neg(_A, phi, _A + phi, ts, scale_exp=phi)
     f = g1 - st["rho"] * g2
     g0 = g2 / (2.0 * st["g20"])
     with np.errstate(over="ignore"):
@@ -367,27 +353,22 @@ def components_at(
     )
 
 
-def _v_many(
-    us: np.ndarray, mode: ModeParams, ecfg: EvalConfig
-) -> Tuple[np.ndarray, np.ndarray]:
+def _v_many(us: np.ndarray, mode: ModeParams) -> Tuple[np.ndarray, np.ndarray]:
     """Variation-of-parameters kernels v1, v2 at a vector of u >= 0."""
-    st = _zero_state(mode, ecfg)
-    g1 = hyp2f1_neg(_A, mode.mu, _A + mode.mu, us, ecfg, scale_exp=mode.mu)
-    g2 = hyp2f1_neg(_A, mode.phi_c, _A + mode.phi_c, us, ecfg, scale_exp=mode.phi_c)
+    st = _zero_state(mode)
+    g1 = hyp2f1_neg(_A, mode.mu, _A + mode.mu, us, scale_exp=mode.mu)
+    g2 = hyp2f1_neg(_A, mode.phi_c, _A + mode.phi_c, us, scale_exp=mode.phi_c)
     w_u = st["W0"] / np.cosh(us)
     denom = w_u * (1.0 + np.exp(2.0 * us))
     return g2 / denom, -g1 / denom
 
 
-def v_integrands(
-    u: ArrayLike, mode: ModeParams, eval_cfg: Optional[EvalConfig] = None
-) -> Tuple[ArrayLike, ArrayLike]:
+def v_integrands(u: ArrayLike, mode: ModeParams) -> Tuple[ArrayLike, ArrayLike]:
     """v1(u) = g2/(W (1+e^{2u})), v2(u) = -g1/(W (1+e^{2u}))."""
-    ecfg = eval_cfg or _DEFAULT_ECFG
     us, scalar = _as_array(u)
     if us.size and float(np.min(us)) < 0.0:
         raise ValueError("v_integrands requires u >= 0")
-    v1, v2 = _v_many(us, mode, ecfg)
+    v1, v2 = _v_many(us, mode)
     if scalar:
         return float(v1[0]), float(v2[0])
     return v1, v2
@@ -407,7 +388,7 @@ class _WCache:
 
 
 @lru_cache(maxsize=64)
-def _w_cache(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> _WCache:
+def _w_cache(mode: ModeParams) -> _WCache:
     """Cumulative anchor values of w1, w2 on the fixed grid k * delta.
 
     The anchor grid extends to max(R, 66) but is cut once the kernels'
@@ -433,7 +414,7 @@ def _w_cache(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> _WCache:
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * _W_DELTA
     nodes = mids[:, None] + half * _GAUSS_X[None, :]
-    v1, v2 = _v_many(nodes.ravel(), mode, ecfg)
+    v1, v2 = _v_many(nodes.ravel(), mode)
     cell1 = half * (v1.reshape(nodes.shape) @ _GAUSS_W)
     cell2 = half * (v2.reshape(nodes.shape) @ _GAUSS_W)
     cum1 = np.concatenate(([0.0], np.cumsum(cell1)))
@@ -448,11 +429,7 @@ def _w_cache(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> _WCache:
 
 
 def _w_many(
-    ts: np.ndarray,
-    mode: ModeParams,
-    qcfg: QuadConfig,
-    ecfg: EvalConfig,
-    shared_k: Optional[np.ndarray] = None,
+    ts: np.ndarray, mode: ModeParams, shared_k: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """w1, w2 at ts >= 0: cached anchor value plus one partial Gauss cell.
 
@@ -461,7 +438,7 @@ def _w_many(
     signed affine Gauss map handles exactly.  Beyond the cached range the
     kernels are below rounding and w is the final anchor value.
     """
-    cache = _w_cache(mode, qcfg, ecfg)
+    cache = _w_cache(mode)
     delta, n_cells = cache.delta, cache.n_cells
     cum1 = np.asarray(cache.cum1)
     cum2 = np.asarray(cache.cum2)
@@ -476,25 +453,18 @@ def _w_many(
     mid = 0.5 * (base + t_eff)
     half = 0.5 * (t_eff - base)
     nodes = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    v1, v2 = _v_many(np.abs(nodes.ravel()), mode, ecfg)
+    v1, v2 = _v_many(np.abs(nodes.ravel()), mode)
     part1 = half * (v1.reshape(nodes.shape) @ _GAUSS_W)
     part2 = half * (v2.reshape(nodes.shape) @ _GAUSS_W)
     return cum1[k] + part1, cum2[k] + part2
 
 
-def w_integrals(
-    t: ArrayLike,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> Tuple[ArrayLike, ArrayLike]:
+def w_integrals(t: ArrayLike, mode: ModeParams) -> Tuple[ArrayLike, ArrayLike]:
     """w_i(t) = int_0^t v_i(u) du for t >= 0 (scalar or vector)."""
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     ts, scalar = _as_array(t)
     if ts.size and float(np.min(ts)) < 0.0:
         raise ValueError("w_integrals requires t >= 0")
-    w1, w2 = _w_many(ts, mode, qcfg, ecfg)
+    w1, w2 = _w_many(ts, mode)
     if scalar:
         return float(w1[0]), float(w2[0])
     return w1, w2
@@ -505,15 +475,15 @@ def w_integrals(
 
 
 @lru_cache(maxsize=128)
-def _c1_state(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> float:
+def _c1_state(mode: ModeParams) -> float:
     # components rescaled by e^{-(phi_c - 1) R}: numerator and denominator
     # are O(1) ratios of the same growth scale
     s = mode.phi_c - 1.0
     R = mode.R
-    st = _zero_state(mode, ecfg)
+    st = _zero_state(mode)
     ts = np.array([R])
-    g1s, g2s, _, _ = _core(ts, mode, ecfg, scale=s)
-    w1R, w2R = _w_many(ts, mode, qcfg, ecfg)
+    g1s, g2s, _, _ = _core(ts, mode, scale=s)
+    w1R, w2R = _w_many(ts, mode)
     fs = float(g1s[0] - st["rho"] * g2s[0])
     g0s = float(g2s[0]) / (2.0 * st["g20"])
     sr = s * R
@@ -532,38 +502,32 @@ def _c1_state(mode: ModeParams, qcfg: QuadConfig, ecfg: EvalConfig) -> float:
     return num / fs
 
 
-def c1_constant(
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def c1_constant(mode: ModeParams) -> float:
     """Boundary constant C1 with S(R) = beta - 1 enforced.
 
     Evaluated from exponentially rescaled components so it stays finite and
     fully conditioned for R in the hundreds; C1(R) tends to a finite limit
     (~0.674 in the equal-weight mode) as R grows.
     """
-    return _c1_state(mode, cfg or _DEFAULT_QCFG, eval_cfg or _DEFAULT_ECFG)
+    return _c1_state(mode)
 
 
 def _s_many(
     ts: np.ndarray,
     mode: ModeParams,
-    qcfg: QuadConfig,
-    ecfg: EvalConfig,
     shared_k: Optional[np.ndarray] = None,
     with_prime: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     # assembled in the e^{-(phi_c-1)t}-rescaled frame -- the same frame the
     # C1 ratio is formed in -- so the S(R) boundary cancellation happens
     # between O(1) quantities and the growth factor multiplies back last
-    c1 = _c1_state(mode, qcfg, ecfg)
-    st = _zero_state(mode, ecfg)
+    c1 = _c1_state(mode)
+    st = _zero_state(mode)
     s = mode.phi_c - 1.0
-    g1s, g2s, g1ps, g2ps = _core(ts, mode, ecfg, scale=s, with_prime=with_prime)
+    g1s, g2s, g1ps, g2ps = _core(ts, mode, scale=s, with_prime=with_prime)
     fs = g1s - st["rho"] * g2s
     g0s = g2s / (2.0 * st["g20"])
-    w1, w2 = _w_many(ts, mode, qcfg, ecfg, shared_k=shared_k)
+    w1, w2 = _w_many(ts, mode, shared_k=shared_k)
     cb = mode.c * mode.beta
     growth = np.exp(s * ts)
     S = growth * (c1 * fs + mode.beta * g0s - cb * (g1s * w1 + g2s * w2))
@@ -578,40 +542,21 @@ def _s_many(
     return S, Sp
 
 
-def s_value(
-    t: float,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def s_value(t: float, mode: ModeParams) -> float:
     """Closed-form S(t) on [0, R]."""
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     ts, _ = _as_array(float(t))
-    S, _ = _s_many(ts, mode, qcfg, ecfg)
+    S, _ = _s_many(ts, mode)
     return float(S[0])
 
 
-def s_prime(
-    t: float,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def s_prime(t: float, mode: ModeParams) -> float:
     """Closed-form S'(t) via the contiguous-shift component derivatives."""
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     ts, _ = _as_array(float(t))
-    _, Sp = _s_many(ts, mode, qcfg, ecfg, with_prime=True)
+    _, Sp = _s_many(ts, mode, with_prime=True)
     return float(Sp[0])
 
 
-def s_profile(
-    ts: ArrayLike,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def s_profile(ts: ArrayLike, mode: ModeParams) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized (S, S') over an array of t values.
 
     Evaluated in blocks of _PROFILE_BLOCK points, so the w-kernel
@@ -620,23 +565,17 @@ def s_profile(
     boundary only moves the series term counts, whose effect stays below
     the series tolerance.
     """
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
     S = np.empty_like(arr)
     Sp = np.empty_like(arr)
     for lo in range(0, arr.size, _PROFILE_BLOCK):
         block = slice(lo, lo + _PROFILE_BLOCK)
-        S[block], Sp[block] = _s_many(arr[block], mode, qcfg, ecfg, with_prime=True)
+        S[block], Sp[block] = _s_many(arr[block], mode, with_prime=True)
     return S, Sp
 
 
 def s_on_stencil(
-    ts: ArrayLike,
-    h: float,
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
+    ts: ArrayLike, h: float, mode: ModeParams
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S(t-h), S(t), S(t+h)) with one shared w-anchor per stencil.
 
@@ -644,34 +583,26 @@ def s_on_stencil(
     correlated, so central second differences see smooth noise instead of
     independent 1e-15 jumps amplified by 1/h^2.
     """
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if float(np.min(arr)) - h < 0.0:
         raise ValueError("stencil leaves [0, R] on the left")
     k = np.floor(arr / _W_DELTA).astype(np.int64)
     stacked = np.concatenate([arr - h, arr, arr + h])
     kk = np.concatenate([k, k, k])
-    S, _ = _s_many(stacked, mode, qcfg, ecfg, shared_k=kk)
+    S, _ = _s_many(stacked, mode, shared_k=kk)
     n = arr.size
     return S[:n], S[n : 2 * n], S[2 * n :]
 
 
-def s_prime_zero(
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def s_prime_zero(mode: ModeParams) -> float:
     """S'(0) = C1 f'(0) + beta g0'(0) - c beta (g1(0) v1(0) + g2(0) v2(0)).
 
     The v-pair term vanishes identically (Wronskian cancellation) but is
     kept in literal form; derivatives at 0 come from the generic
     z-derivative contiguous shift.
     """
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
-    st = _zero_state(mode, ecfg)
-    c1 = _c1_state(mode, qcfg, ecfg)
+    st = _zero_state(mode)
+    c1 = _c1_state(mode)
     vpair = st["g10"] * st["v10"] + st["g20"] * st["v20"]
     return (
         c1 * st["fp0"]
@@ -721,18 +652,13 @@ def _connection_noise(mode: ModeParams) -> float:
     return float(np.finfo(float).eps) * mode.phi_c / (d * d)
 
 
-def _floored_qcfg(mode: ModeParams, qcfg: QuadConfig) -> QuadConfig:
+def _floored_qcfg(mode: ModeParams) -> QuadConfig:
+    """Default quadrature settings with abs_tol raised to the noise floor."""
     floor = 4.0 * _weighted_noise_floor(mode)
-    if qcfg.abs_tol >= floor:
-        return qcfg
-    return dataclasses.replace(qcfg, abs_tol=floor)
+    return QuadConfig(abs_tol=max(QuadConfig().abs_tol, floor))
 
 
-def exp_weighted_integral(
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> float:
+def exp_weighted_integral(mode: ModeParams) -> float:
     """int_0^R e^{-t} S(t) dt in closed form from the w-cache anchors.
 
     With e^{-t} g2 = 2 W0 v1, e^{-t} g1 = -2 W0 v2 and rho = g1(0)/g2(0),
@@ -746,11 +672,9 @@ def exp_weighted_integral(
     partial 12-point cell [k delta, R], the only kernel evaluations made
     here.  R on a cell edge or past the certified tail cut needs none.
     """
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
-    st = _zero_state(mode, ecfg)
-    cache = _w_cache(mode, qcfg, ecfg)
-    c1 = _c1_state(mode, qcfg, ecfg)
+    st = _zero_state(mode)
+    cache = _w_cache(mode)
+    c1 = _c1_state(mode)
     delta, n_cells = cache.delta, cache.n_cells
     # the anchor and partial cell exactly as _w_many takes them
     t_eff = min(mode.R, n_cells * delta)
@@ -760,7 +684,7 @@ def exp_weighted_integral(
     half = 0.5 * (t_eff - base)
     if half != 0.0:
         nodes = 0.5 * (base + t_eff) + half * _GAUSS_X
-        v1, v2 = _v_many(nodes, mode, ecfg)
+        v1, v2 = _v_many(nodes, mode)
         w2_nodes = w2 + half * (_GAUSS_INT @ v2)
         j += half * ((v1 * w2_nodes) @ _GAUSS_W)
         w1 += half * (v1 @ _GAUSS_W)
@@ -773,29 +697,24 @@ def exp_weighted_integral(
     return float(c1 * i_f + mode.beta * i_g0 - cb * (2.0 * i_g2w2 - 2.0 * w0 * w1 * w2))
 
 
-def component_exp_integrals(
-    mode: ModeParams,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
-) -> dict:
+def component_exp_integrals(mode: ModeParams) -> dict:
     """The four integrals int_0^R e^{-t} {f, g0, g1 w1, g2 w2} dt.
 
     S is affine in C1 through these, which gives the cross-check
     int e^{-t} S = C1 * I_f + beta * I_g0 - c beta (I_g1w1 + I_g2w2).
     """
-    qcfg = _floored_qcfg(mode, cfg or _DEFAULT_QCFG)
-    ecfg = eval_cfg or _DEFAULT_ECFG
-    st = _zero_state(mode, ecfg)
+    qcfg = _floored_qcfg(mode)
+    st = _zero_state(mode)
 
     def piece(which: str):
         def f(ts: np.ndarray) -> np.ndarray:
-            g1, g2, _, _ = _core(ts, mode, ecfg, scale=0.0)
+            g1, g2, _, _ = _core(ts, mode, scale=0.0)
             if which == "f":
                 val = g1 - st["rho"] * g2
             elif which == "g0":
                 val = g2 / (2.0 * st["g20"])
             else:
-                w1, w2 = _w_many(ts, mode, qcfg, ecfg)
+                w1, w2 = _w_many(ts, mode)
                 val = g1 * w1 if which == "g1w1" else g2 * w2
             return np.exp(-ts) * val
 
@@ -805,11 +724,7 @@ def component_exp_integrals(
 
 
 def ode_residual_max(
-    mode: ModeParams,
-    n_grid: int = 200,
-    h: float = 1e-3,
-    cfg: Optional[QuadConfig] = None,
-    eval_cfg: Optional[EvalConfig] = None,
+    mode: ModeParams, n_grid: int = 200, h: float = 1e-3
 ) -> float:
     """Max |S'' + tanh(t) S' + c_eff (S - beta/(1+e^{2t}))| on an interior grid.
 
@@ -826,12 +741,10 @@ def ode_residual_max(
     pushing h down to 1e-4 puts the rounding term near 1e-5 by t ~ 5 and the
     residual becomes noise-dominated.
     """
-    qcfg = cfg or _DEFAULT_QCFG
-    ecfg = eval_cfg or _DEFAULT_ECFG
     R = mode.R
     ts = np.linspace(0.0, R, n_grid + 2)[1:-1]
     ts = ts[(ts - h > 0.0) & (ts + h < R)]
-    sm, s0, sp = s_on_stencil(ts, h, mode, qcfg, ecfg)
+    sm, s0, sp = s_on_stencil(ts, h, mode)
     c_eff = -mode.c0 / mode.c1
     em2t = np.exp(-2.0 * ts)
     sigma = em2t / (1.0 + em2t)

@@ -21,7 +21,6 @@ from mollab.oracle import bvp_solve, compare_profiles, discrete_minimize
 from mollab.siegel import asymptotic_constants, step_limit_scan
 from mollab.varsol import (
     SPECIAL_THETA_R,
-    _DEFAULT_ECFG,
     _zero_state,
     c1_constant,
     component_exp_integrals,
@@ -108,7 +107,7 @@ def test_criterion_2_named_constants():
     c1_40 = c1_constant(_mode_for_R(40.0))
     cv = components_at(0.0, mode)
     v1_0, v2_0 = v_integrands(0.0, mode)
-    zs = _zero_state(mode, _DEFAULT_ECFG)
+    zs = _zero_state(mode)
     checks = [
         ("w1_limit", w1, 1.3208, 2e-3),
         ("w2_limit", w2, 2.8166, 2e-3),

@@ -79,8 +79,9 @@ def test_kappa_out_file_has_manifest_and_csv(tmp_path, capsys):
     text = path.read_text()
     comments = [l for l in text.splitlines() if l.startswith("#")]
     joined = "\n".join(comments)
-    for key in ("tool", "command", "crossover_z", "timestamp", "wall_time_s"):
+    for key in ("tool", "command", "params", "timestamp", "wall_time_s"):
         assert f"# {key}:" in joined
+    assert "crossover_z" not in joined
     assert "# tool: mollab" in joined
     body = _body(text).splitlines()
     assert body[0] == "theta,R,beta,mollifier,c_pqr,kappa"

@@ -28,7 +28,6 @@ from mollab.kappa import (
     kappa_from_functional,
     kappa_general,
     kappa_special,
-    mollifier_moments,
 )
 from mollab.quad import integrate
 from mollab.varsol import (
@@ -49,13 +48,14 @@ SINH_Q = MollifierSpec.sinh_shape(0.25)
 
 
 def test_linear_moments():
-    B, C = mollifier_moments(LINEAR)
+    B, C = LINEAR.B, LINEAR.C
     assert B == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert C == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sinh_moments_reduce_to_linear():
-    B, C = mollifier_moments(MollifierSpec.sinh_shape(1e-3))
+    spec = MollifierSpec.sinh_shape(1e-3)
+    B, C = spec.B, spec.C
     assert B == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert C == pytest.approx(1.0, abs=1e-6)
 
@@ -63,7 +63,7 @@ def test_sinh_moments_reduce_to_linear():
 def test_sinh_moments_match_quadrature():
     # B = int P^2, C = int P'^2 with P = sinh(r x)/sinh(r).
     r = 0.25
-    B, C = mollifier_moments(SINH_Q)
+    B, C = SINH_Q.B, SINH_Q.C
     s = math.sinh(r)
     bq = integrate(lambda x: np.sinh(r * x) ** 2 / s**2, 0.0, 1.0).value
     cq = integrate(lambda x: (r * np.cosh(r * x) / s) ** 2, 0.0, 1.0).value
@@ -77,10 +77,10 @@ def test_sinh_moments_small_r_series_continuous():
     # The series branch joins the closed form continuously at r = 0.01;
     # the joint is limited by the direct form's cancellation noise,
     # eps * 1.5 / r^2 ~ 3e-12 relative there.
-    lo = mollifier_moments(MollifierSpec.sinh_shape(0.009999999))
-    hi = mollifier_moments(MollifierSpec.sinh_shape(0.010000001))
-    assert lo[0] == pytest.approx(hi[0], rel=1e-10)
-    assert lo[1] == pytest.approx(hi[1], rel=1e-10)
+    lo = MollifierSpec.sinh_shape(0.009999999)
+    hi = MollifierSpec.sinh_shape(0.010000001)
+    assert lo.B == pytest.approx(hi.B, rel=1e-10)
+    assert lo.C == pytest.approx(hi.C, rel=1e-10)
 
 
 def test_sinh_moments_against_high_precision():
@@ -88,7 +88,8 @@ def test_sinh_moments_against_high_precision():
 
     mpmath.mp.dps = 40
     for r in (0.005, 0.05, 0.25, 1.0):
-        B, C = mollifier_moments(MollifierSpec.sinh_shape(r))
+        spec = MollifierSpec.sinh_shape(r)
+        B, C = spec.B, spec.C
         rm = mpmath.mpf(r)
         sh2, sh = mpmath.sinh(2 * rm), mpmath.sinh(rm)
         Bm = (sh2 - 2 * rm) / (4 * rm * sh**2)
@@ -105,7 +106,7 @@ def test_mollifier_spec_validation():
     with pytest.raises(ValueError):
         MollifierSpec.custom(0.0, 1.0)
     spec = MollifierSpec.custom(0.25, 1.5)
-    assert mollifier_moments(spec) == (0.25, 1.5)
+    assert (spec.B, spec.C) == (0.25, 1.5)
     assert LINEAR.tag == "linear"
     assert SINH_Q.tag == "sinh:0.25"
 

@@ -11,6 +11,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mollab.kappa import k_functional_direct, kappa_from_functional, kappa_special
 from mollab.oracle import (
@@ -158,23 +160,37 @@ def test_minimizer_is_discretely_optimal(mode_r2):
     assert k_min <= k_closed + 1e-8
 
 
-def test_minimizer_refuses_nonconvex_by_default():
-    # theta R > sqrt(C/B) makes the quadratic-weight coefficient c0
-    # negative; the cell form is still positive definite, but the caller
-    # must opt in explicitly.
+def test_negative_c0_mode_minimizes_like_bvp():
+    # theta R > sqrt(C/B) makes c0 negative, yet c < 1/4 keeps the
+    # functional convex: the minimizer is the BVP solution.
     mode = make_mode_general(2.0, 10.0, 1.0)
     assert mode.c0 < 0.0
-    with pytest.raises(ValueError):
-        discrete_minimize(mode, 500)
-    prof = discrete_minimize(mode, 500, allow_nonconvex=True)
-    assert np.all(np.isfinite(prof.values))
+    sup, _ = compare_profiles(bvp_solve(mode, 4000), discrete_minimize(mode, 4000))
+    assert sup <= 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.01, 3.0),
+    excess=st.floats(1.001, 20.0),
+    beta=st.floats(0.5, 1.5),
+    B=st.floats(0.05, 1.0),
+    C=st.floats(0.5, 5.0),
+)
+def test_negative_c0_modes_factor(theta, excess, beta, B, C):
+    R = min(excess * math.sqrt(C / B) / theta, 300.0)
+    mode = make_mode_general(theta, R, beta, B, C)
+    assume(mode.c0 < 0.0)
+    for n in (2, 5, 50, 500):
+        prof = discrete_minimize(mode, n)
+        assert np.all(np.isfinite(prof.values))
 
 
 def test_indefinite_form_detected():
     base = special_mode_for_R(5.0)
     toxic = dataclasses.replace(base, c0=-10.0, c1=1.0)
     with pytest.raises(IndefiniteForm):
-        discrete_minimize(toxic, 100, allow_nonconvex=True)
+        discrete_minimize(toxic, 100)
 
 
 def test_minimizer_input_validation(mode_r5):

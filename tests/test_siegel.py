@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mollab.siegel import (
-    StepFunction,
     asymptotic_constants,
     q_profile,
     q_value,
@@ -64,15 +63,6 @@ def test_q_value_theta_parameterization():
         q_value(R, 1.5)
     with pytest.raises(ValueError):
         q_value(-1.0, 0.5)
-
-
-def test_step_function_values():
-    step = StepFunction()
-    assert step(0.3) == 1.0
-    assert step(0.5) == 0.5
-    assert step(0.7) == 0.0
-    out = step(np.array([0.0, 0.5, 1.0]))
-    assert out.tolist() == [1.0, 0.5, 0.0]
 
 
 def test_step_scan_decreases_to_zero():
