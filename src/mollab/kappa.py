@@ -32,8 +32,9 @@ form in the cached w-anchors, so neither mode runs adaptive quadrature.
 In the general mode that integral carries the rounding of the
 variation-of-parameters assembly, which grows like e^{(phi_c - 2) t} (twice
 that exponent once phi_c > 2), and near phi_c = k + 1/2 the components
-themselves lose digits to the connection formula's Gamma poles.  When that
-noise, carried through the log map, could move kappa by more than 1e-9,
+themselves lose digits to the connection formula's Gamma poles.  When
+beta != 1, S'(R) carries the components' rounding eps e^{(phi_c - 1) R}
+into the e^{2R} cross term.  When that noise, carried through the log map, could move kappa by more than 1e-9,
 ``kappa_general`` raises IllConditioned instead of returning digits it
 cannot vouch for.
 
@@ -89,6 +90,7 @@ _EXP_MAX = 700.0  # log of the largest comfortably representable double
 _LOG_HUGE = 709.0  # beyond this, exp() overflows; saturate reported c to inf
 _KAPPA_NOISE_MAX = 1e-9  # largest kappa shift that rounding may cause
 _K_GAP_FLOOR = 1e-11  # absolute floor of k_functional_direct's half-grid test
+_EPS = float(np.finfo(float).eps)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -107,7 +109,8 @@ class NonPositiveArgument(ArithmeticError):
 
 class IllConditioned(ArithmeticError):
     """Rounding in the general-mode assembly could move kappa by more than
-    1e-9: large phi_c, phi_c > 2 with large R, or phi_c near k + 1/2."""
+    1e-9: large phi_c, phi_c > 2 with large R, beta != 1 with large
+    (phi_c - 1) R, or phi_c near k + 1/2."""
 
 
 class GridTooCoarse(RuntimeError):
@@ -319,6 +322,12 @@ def kappa_general(
     # e^{(1 - m) R} times that over G R
     d_tail = 4.0 * _weighted_noise_floor(mode)
     d_log = math.exp((1 - m) * R) * abs(c0 * beta) * d_tail / (2.0 * R)
+    if bm1 != 0.0:
+        # S'(R) carries the components' rounding, eps e^{(phi_c - 1) R} at
+        # its own scale; the cross term puts it into D2, so it enters kappa
+        # as e^{(2 - m) R} times that over G R
+        d_spR = _EPS * _exp_or_inf((mode.phi_c - 1.0) * R) * max(abs(spR), 1.0)
+        d_log += math.exp((2 - m) * R) * abs(bm1) * c1 * d_spR / (2.0 * R)
     d_kappa = d_log / (abs(G) * R) if G != 0.0 else math.inf
     # near phi_c = k + 1/2 the components themselves lose digits
     d_kappa += _connection_noise(mode)
@@ -435,14 +444,14 @@ def _k_p1(grid: np.ndarray, vals: np.ndarray, mode: ModeParams) -> float:
     return grad_part + float(np.sum(node * wts))
 
 
-def _k_trapezoid(
+def _k_integrand(
     grid: np.ndarray, vals: np.ndarray, derivs: np.ndarray, mode: ModeParams
-) -> float:
+) -> np.ndarray:
+    """The derivative-form integrand of K at the nodes."""
     d2 = derivs * derivs
-    g = np.exp(grid) * (mode.c0 * vals * vals + mode.c1 * d2) + np.exp(-grid) * (
+    return np.exp(grid) * (mode.c0 * vals * vals + mode.c1 * d2) + np.exp(-grid) * (
         mode.c0 * (mode.beta - vals) ** 2 + mode.c1 * d2
     )
-    return float(_trapz(g, grid))
 
 
 def k_functional_direct(
@@ -489,8 +498,10 @@ def k_functional_direct(
         der = np.asarray(derivs, dtype=float)
         if der.shape != vals.shape:
             raise ValueError("derivs must match values in shape")
-        k_fine = _k_trapezoid(grid, vals, der, mode)
-        k_half = _k_trapezoid(grid[idx], vals[idx], der[idx], mode)
+        # elementwise, so the half grid's integrand is a slice of the fine one
+        g = _k_integrand(grid, vals, der, mode)
+        k_fine = float(_trapz(g, grid))
+        k_half = float(_trapz(g[idx], grid[idx]))
         extrapolate = True
     gap = abs(k_fine - k_half)
     if gap > max(refine_rel * abs(k_fine), _K_GAP_FLOOR):

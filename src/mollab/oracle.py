@@ -118,9 +118,14 @@ class SolutionProfile:
 
 def _source(t: np.ndarray, mode: ModeParams) -> np.ndarray:
     # c*beta/(1 + e^{2t}) evaluated as e^{-2t}/(1 + e^{-2t}) so large t
-    # underflows to 0 instead of overflowing.
-    e = np.exp(-2.0 * t)
-    return mode.c * mode.beta * e / (1.0 + e)
+    # underflows to 0 instead of overflowing.  In place: every fresh array
+    # of a fine grid's size costs page faults on first touch.
+    e = np.multiply(-2.0, t)
+    np.exp(e, out=e)
+    denom = 1.0 + e
+    e *= mode.c * mode.beta
+    e /= denom
+    return e
 
 
 def bvp_solve(mode: ModeParams, n: int) -> SolutionProfile:
@@ -135,28 +140,34 @@ def bvp_solve(mode: ModeParams, n: int) -> SolutionProfile:
         raise ValueError(f"bvp_solve needs n >= 100 interior nodes, got {n}")
     R, beta, c = mode.R, mode.beta, mode.c
     h = R / (n + 1)
-    t = h * np.arange(1, n + 1)
-    tang = np.tanh(t)
+    grid = np.arange(n + 2, dtype=float)
+    grid *= h
+    grid[-1] = R
+    t = grid[1:-1]
+    drift = np.tanh(t)
+    drift /= 2.0 * h
     inv_h2 = 1.0 / (h * h)
-    sub = inv_h2 - tang / (2.0 * h)  # multiplies S_{i-1}
-    sup = inv_h2 + tang / (2.0 * h)  # multiplies S_{i+1}
-    diag = np.full(n, -2.0 * inv_h2 + c)
+    # band rows: S_{i+1} coefficients, the diagonal, S_{i-1} coefficients
+    ab = np.empty((3, n))
+    np.add(inv_h2, drift[:-1], out=ab[0, 1:])
+    ab[1] = -2.0 * inv_h2 + c
+    np.subtract(inv_h2, drift[1:], out=ab[2, :-1])
+    ab[0, 0] = ab[2, -1] = 0.0
 
     rhs = _source(t, mode)
-    rhs[0] -= sub[0] * (beta / 2.0)
-    rhs[-1] -= sup[-1] * (beta - 1.0)
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
+    rhs[0] -= (inv_h2 - drift[0]) * (beta / 2.0)
+    rhs[-1] -= (inv_h2 + drift[-1]) * (beta - 1.0)
     if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
         raise SingularSystem(
             f"BVP assembly produced non-finite coefficients at c = {c!r}"
         )
     from scipy.linalg import LinAlgError, solve_banded
     try:
-        interior = solve_banded((1, 1), ab, rhs)
+        # ab and rhs are local and checked finite above; (1, 1) bands go
+        # to LAPACK gtsv either way
+        interior = solve_banded(
+            (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
     except LinAlgError as exc:
         raise SingularSystem(
             f"tridiagonal BVP system is singular at c = {c:.6g} "
@@ -168,8 +179,6 @@ def bvp_solve(mode: ModeParams, n: int) -> SolutionProfile:
             "(near-singular discrete operator)"
         )
 
-    grid = np.empty(n + 2)
-    grid[0], grid[1:-1], grid[-1] = 0.0, t, R
     values = np.empty(n + 2)
     values[0], values[1:-1], values[-1] = beta / 2.0, interior, beta - 1.0
     return SolutionProfile(grid, values)

@@ -7,17 +7,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
 from mollab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _csv_lines,
+    _fmt,
+    _mode_for_solve,
     load_table,
     main,
     verify_table,
 )
 from mollab.kappa import MollifierSpec, equal_weight_R, kappa_general, kappa_special
+from mollab.siegel import step_limit_scan
+from mollab.varsol import s_profile
 
 
 def _run(capsys, *argv):
@@ -224,6 +232,64 @@ def test_solve_profile_boundaries(capsys):
     assert first[0] == 0.0 and first[1] == pytest.approx(0.5, abs=1e-12)
     assert last[0] == pytest.approx(5.0, rel=1e-15)
     assert last[1] == pytest.approx(0.0, abs=1e-9)
+
+
+# The bodies once came from one _fmt call per numpy scalar; _csv_lines must
+# print exactly those bytes, and --json must carry the same rows.
+
+
+def _fmt_per_element(*columns):
+    return [",".join(_fmt(x) for x in row) for row in zip(*columns)]
+
+
+def _solve_case(R, c, beta, points):
+    """(argv, expected body lines) of one solve request."""
+    argv = ["solve", "--R", str(R), "--c", str(c), "--beta", str(beta),
+            "--points", str(points)]
+    ts = np.linspace(0.0, R, points)
+    return argv, _fmt_per_element(ts, *s_profile(ts, _mode_for_solve(R, c, beta)))
+
+
+@pytest.mark.parametrize(
+    "R, c, beta, points",
+    [(5.0, -1.0, 1.0, 11), (5.0, -1.0, 1.0, 2001), (5.0, -1.0, 1.0, 100_000),
+     (5.0, -2.0, 1.3, 2001)],
+)
+def test_solve_body_matches_per_element_format(capsys, R, c, beta, points):
+    argv, want = _solve_case(R, c, beta, points)
+    code, out = _run(capsys, *argv)
+    assert code == EXIT_OK
+    assert _body(out) == "\n".join(["t,S,Sprime", *want])
+
+
+@pytest.mark.parametrize("R, c, beta, points", [(5.0, -1.0, 1.0, 11), (5.0, -2.0, 1.3, 2001)])
+def test_solve_json_rows_match_per_element_format(capsys, R, c, beta, points):
+    argv, want = _solve_case(R, c, beta, points)
+    code, out = _run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == [line.split(",") for line in want]
+
+
+def test_csv_lines_spell_special_values_like_fmt():
+    odd = [-0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 5e-324, 0.1]
+    for cols in ([odd], [np.array(odd), odd[::-1]], [np.array(odd)] * 3):
+        want = _fmt_per_element(*(np.asarray(c) for c in cols))
+        assert _csv_lines(*cols) == want
+    assert _csv_lines(np.array([-0.0]), [math.nan]) == ["-0,nan"]
+
+
+@pytest.mark.parametrize(
+    "y0, r_list", [(0.75, "5,10,20,40"), (0.9, "20,50,100"), (0.6, "1,2.5,3.75")]
+)
+def test_limit_body_and_json_match_per_element_format(capsys, y0, r_list):
+    argv = ["limit", "--y0", str(y0), "--R-list", r_list]
+    rs = [float(r) for r in r_list.split(",")]
+    want = _fmt_per_element(rs, step_limit_scan(y0, rs))
+    code, out = _run(capsys, *argv)
+    assert code == EXIT_OK
+    assert _body(out) == "\n".join(["R,Q", *want])
+    code, out = _run(capsys, *argv, "--json")
+    assert json.loads(out)["rows"] == [line.split(",") for line in want]
 
 
 def test_solve_degenerate_exponent_is_numeric_error(capsys):

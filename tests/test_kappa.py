@@ -217,8 +217,12 @@ def test_stable_through_R_fifty():
     res = kappa_special(SPECIAL_THETA_R / 50.0)
     assert math.isfinite(res.kappa) and math.isfinite(res.c_pqr)
     assert res.kappa == pytest.approx(1.0 - math.log(res.c_pqr) / 50.0, abs=1e-12)
-    gen = kappa_general(0.01, 50.0, 1.3)
-    assert math.isfinite(gen.kappa)
+    # beta != 1 at large (phi_c - 1) R: S'(R)'s rounding, carried by the
+    # e^{2R} cross term, swamps kappa (the BVP reference gives -0.95333,
+    # -0.94166 and -0.69547; the closed form gave -1.8009, -2.466, -0.68790)
+    for case in ((0.01, 50.0, 1.3), (0.01, 40.0, 1.3), (0.02, 30.0, 0.99)):
+        with pytest.raises(IllConditioned, match="rounding could move kappa"):
+            kappa_general(*case)
 
 
 def test_kappa_over_theta_window():
@@ -251,7 +255,7 @@ def test_ill_conditioned_general_mode_raises(R):
     with pytest.raises(IllConditioned):
         kappa_general(0.01, R, 1.0)
 
-    # (kappa_general(0.01, 50, 1.3) still answers: test_stable_through_R_fifty)
+    # (at beta = 1.3 S'(R) trips the guard too: test_stable_through_R_fifty)
 
 
 def test_ill_conditioned_checked_before_the_log_argument():

@@ -26,7 +26,7 @@ from mollab.oracle import (
     full_interval_functional,
     stencil_residuals,
 )
-from mollab.varsol import make_mode_general, s_profile
+from mollab.varsol import make_mode_general, make_mode_special, s_profile
 from tests.conftest import closed_profile, special_mode_for_R
 
 
@@ -134,6 +134,85 @@ def test_lapack_failure_becomes_singular_system(monkeypatch, mode_r5, solver):
             bvp_solve(mode_r5, 200)
         else:
             discrete_minimize(mode_r5, 200)
+
+
+# ------------------------------------------- reference route, bit for bit
+#
+# bvp_solve fills its band rows in place and lets LAPACK overwrite them;
+# k_functional_direct slices the half-grid integrand out of the fine one.
+# Both must give exactly the numbers of the straightforward versions below.
+
+
+def _bvp_as_first_written(mode, n):
+    from scipy.linalg import solve_banded
+
+    R, beta, c = mode.R, mode.beta, mode.c
+    h = R / (n + 1)
+    t = h * np.arange(1, n + 1)
+    tang = np.tanh(t)
+    inv_h2 = 1.0 / (h * h)
+    sub = inv_h2 - tang / (2.0 * h)
+    sup = inv_h2 + tang / (2.0 * h)
+    e = np.exp(-2.0 * t)
+    rhs = mode.c * mode.beta * e / (1.0 + e)
+    rhs[0] -= sub[0] * (beta / 2.0)
+    rhs[-1] -= sup[-1] * (beta - 1.0)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1, :] = np.full(n, -2.0 * inv_h2 + c)
+    ab[2, :-1] = sub[1:]
+    interior = solve_banded((1, 1), ab, rhs)
+    grid = np.concatenate(([0.0], t, [R]))
+    values = np.concatenate(([beta / 2.0], interior, [beta - 1.0]))
+    return grid, values
+
+
+def _k_as_first_written(profile, mode):
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+
+    def k_trapezoid(grid, vals, derivs):
+        d2 = derivs * derivs
+        g = np.exp(grid) * (mode.c0 * vals * vals + mode.c1 * d2) + np.exp(
+            -grid
+        ) * (mode.c0 * (mode.beta - vals) ** 2 + mode.c1 * d2)
+        return float(trapz(g, grid))
+
+    grid, vals, der = profile.grid, profile.values, profile.derivs
+    idx = np.arange(0, grid.size, 2)
+    if idx[-1] != grid.size - 1:
+        idx = np.append(idx, grid.size - 1)
+    k_fine = k_trapezoid(grid, vals, der)
+    k_half = k_trapezoid(grid[idx], vals[idx], der[idx])
+    return k_fine + (k_fine - k_half) / 3.0
+
+
+_SPECIAL_THETAS = np.linspace(0.08, 1.0, 20)
+_GENERAL_MODES = [
+    make_mode_general(theta, R, beta)
+    for theta, R, beta in zip(
+        np.linspace(0.1, 0.6, 20),
+        np.geomspace(1.0, 8.0, 20)[::-1],
+        [0.5, 1.0, 1.3, 0.8] * 5,
+    )
+]
+
+
+@pytest.mark.parametrize("n", [150, 4000, 20001])
+def test_bvp_solve_bit_identical_to_first_version(n):
+    for mode in (special_mode_for_R(5.0), *_GENERAL_MODES[::4]):
+        prof = bvp_solve(mode, n)
+        grid, values = _bvp_as_first_written(mode, n)
+        assert np.array_equal(prof.grid, grid)
+        assert np.array_equal(prof.values, values)
+
+
+def test_k_functional_bit_identical_to_first_version():
+    modes = [make_mode_special(theta) for theta in _SPECIAL_THETAS]
+    for i, mode in enumerate(modes + _GENERAL_MODES):
+        # odd and even node counts take both half-grid index branches
+        prof = bvp_solve(mode, 2000 + i % 2).differenced()
+        got = k_functional_direct(prof, mode)
+        assert got.hex() == _k_as_first_written(prof, mode).hex()
 
 
 # ------------------------------------------------------ discrete minimizer
